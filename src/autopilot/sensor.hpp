@@ -33,8 +33,7 @@ class AutopilotManager : public core::Snapshottable {
   explicit AutopilotManager(sim::Engine& engine) : engine_(&engine) {}
 
   const char* snapshotSection() const override { return "autopilot.sensor"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   using Listener = std::function<void(const Reading&)>;
 

@@ -89,101 +89,67 @@ std::optional<AppManager::ResumeRecord> AppManager::takeResume(
   return rec;
 }
 
-void AppManager::encodeState(core::SnapshotWriter& w) const {
-  const auto putMonitor = [&w](bool present, double upper, double lower,
-                               std::size_t phase, std::size_t violations,
-                               double lastRatio,
-                               const std::deque<double>& ratios) {
-    w.putBool(present);
-    if (!present) return;
-    w.putF64(upper);
-    w.putF64(lower);
-    w.putU64(phase);
-    w.putU64(violations);
-    w.putF64(lastRatio);
-    w.putU64(ratios.size());
-    for (const double ratio : ratios) w.putF64(ratio);
-  };
-  const auto putScrub = [&w](const reschedule::DepotScrubber::Stats& s) {
-    w.putI64(s.scans);
-    w.putI64(s.slicesChecked);
-    w.putI64(s.corruptFound);
-    w.putI64(s.missingFound);
-    w.putI64(s.repaired);
-    w.putI64(s.unrepairable);
-    w.putI64(s.deferred);
-  };
-  // One encoder for both live runs and still-unadopted resume records, so
-  // a snapshot taken in the gap between restore and relaunch loses nothing.
-  const auto putApp = [&](const std::string& name,
-                          const reschedule::Rss& rss, bool monPresent,
-                          double upper, double lower, std::size_t phase,
-                          std::size_t violations, double lastRatio,
-                          const std::deque<double>& ratios,
-                          const reschedule::DepotScrubber::Stats& scrub) {
-    w.putStr(name);
-    rss.encodeState(w);
-    putMonitor(monPresent, upper, lower, phase, violations, lastRatio,
-               ratios);
-    putScrub(scrub);
-  };
-
-  w.putU64(completed_.size());
-  for (const auto& name : completed_) w.putStr(name);
-  w.putU64(live_->size() + resume_.size());
-  static const std::deque<double> kNoRatios;
-  for (const auto& [name, rt] : *live_) {
-    const autopilot::ContractMonitor* mon = rt.monitor->get();
-    if (mon != nullptr) {
-      putApp(name, *rt.rss, true, mon->upperTolerance(),
-             mon->lowerTolerance(), mon->phasesSeen(),
-             mon->violationsRaised(), mon->lastRatio(), mon->ratioWindow(),
-             rt.scrubber->stats());
-    } else {
-      putApp(name, *rt.rss, false, 0.0, 0.0, 0, 0, 1.0, kNoRatios,
-             rt.scrubber->stats());
-    }
-  }
-  for (const auto& [name, rec] : resume_) {
-    putApp(name, rec.rss, rec.hasMonitor, rec.monUpper, rec.monLower,
-           rec.monPhase, rec.monViolations, rec.monLastRatio, rec.monRatios,
-           rec.scrubStats);
-  }
-}
-
-void AppManager::decodeState(core::SnapshotReader& r) {
-  sim::Engine& eng = gis_->grid().engine();
-  completed_.clear();
-  resume_.clear();
-  const auto nCompleted = r.getU64();
-  for (std::uint64_t i = 0; i < nCompleted; ++i) completed_.insert(r.getStr());
-  const auto nApps = r.getU64();
-  for (std::uint64_t i = 0; i < nApps; ++i) {
-    const auto name = r.getStr();
-    ResumeRecord rec{reschedule::Rss(eng, name), false, 0.0, 0.0,
-                     0,  0,    1.0, {}, {}};
-    rec.rss.decodeState(r);
-    rec.hasMonitor = r.getBool();
-    if (rec.hasMonitor) {
-      rec.monUpper = r.getF64();
-      rec.monLower = r.getF64();
-      rec.monPhase = static_cast<std::size_t>(r.getU64());
-      rec.monViolations = static_cast<std::size_t>(r.getU64());
-      rec.monLastRatio = r.getF64();
-      const auto nRatios = r.getU64();
-      for (std::uint64_t j = 0; j < nRatios; ++j) {
-        rec.monRatios.push_back(r.getF64());
+void AppManager::snapshotFields(core::SnapshotIO& io) {
+  io.seq(completed_,
+         [](core::SnapshotIO& a, std::string& name) { a.str(name); });
+  // Live runs are written as resume records, followed by the still-unadopted
+  // ones, so a snapshot taken in the gap between restore and relaunch loses
+  // nothing. On load every row becomes a resume record for the app's next
+  // run().
+  using Row = std::pair<std::string, ResumeRecord>;
+  const auto rows = [this] {
+    std::vector<Row> out;
+    for (const auto& [name, rt] : *live_) {
+      ResumeRecord rec;
+      rec.rss = *rt.rss;
+      if (const autopilot::ContractMonitor* mon = rt.monitor->get()) {
+        rec.hasMonitor = true;
+        rec.monUpper = mon->upperTolerance();
+        rec.monLower = mon->lowerTolerance();
+        rec.monPhase = mon->phasesSeen();
+        rec.monViolations = mon->violationsRaised();
+        rec.monLastRatio = mon->lastRatio();
+        rec.monRatios = mon->ratioWindow();
       }
+      rec.scrubStats = rt.scrubber->stats();
+      out.emplace_back(name, std::move(rec));
     }
-    rec.scrubStats.scans = static_cast<int>(r.getI64());
-    rec.scrubStats.slicesChecked = static_cast<int>(r.getI64());
-    rec.scrubStats.corruptFound = static_cast<int>(r.getI64());
-    rec.scrubStats.missingFound = static_cast<int>(r.getI64());
-    rec.scrubStats.repaired = static_cast<int>(r.getI64());
-    rec.scrubStats.unrepairable = static_cast<int>(r.getI64());
-    rec.scrubStats.deferred = static_cast<int>(r.getI64());
-    resume_.emplace(name, std::move(rec));
-  }
+    out.insert(out.end(), resume_.begin(), resume_.end());
+    return out;
+  };
+  const auto adopt = [this](std::vector<Row> loaded) {
+    resume_.clear();
+    for (auto& [name, rec] : loaded) {
+      resume_.emplace(std::move(name), std::move(rec));
+    }
+  };
+  sim::Engine* eng = &gis_->grid().engine();
+  const auto row = [eng](core::SnapshotIO& a, Row& r) {
+    std::string& name = r.first;
+    ResumeRecord& rec = r.second;
+    a.str(name);
+    a.onLoad([&] { rec.rss.emplace(*eng, name); });
+    rec.rss->snapshotFields(a);
+    a.boolean(rec.hasMonitor);
+    if (rec.hasMonitor) {
+      a.f64(rec.monUpper);
+      a.f64(rec.monLower);
+      a.u64(rec.monPhase);
+      a.u64(rec.monViolations);
+      a.f64(rec.monLastRatio);
+      a.seq(rec.monRatios, [](core::SnapshotIO& b, double& v) { b.f64(v); });
+    }
+    a.i64(rec.scrubStats.scans);
+    a.i64(rec.scrubStats.slicesChecked);
+    a.i64(rec.scrubStats.corruptFound);
+    a.i64(rec.scrubStats.missingFound);
+    a.i64(rec.scrubStats.repaired);
+    a.i64(rec.scrubStats.unrepairable);
+    a.i64(rec.scrubStats.deferred);
+  };
+  io.prop(rows, adopt, [&row](core::SnapshotIO& a, std::vector<Row>& loaded) {
+    a.seq(loaded, row);
+  });
 }
 
 sim::Task AppManager::run(const Cop& cop,
@@ -198,14 +164,14 @@ sim::Task AppManager::run(const Cop& cop,
   reschedule::Rss rss(eng, cop.name);
   std::size_t resumePhase = 0;
   bool restored = false;
-  // Control-plane restart: adopt the resume record decoded from the
+  // Control-plane restart: adopt the resume record restored from the
   // snapshot (if one waits for this app) before anything observes the RSS.
   // The relaunch itself then re-arms every per-app background daemon
   // exactly once — counted in breakdown.daemonRearms.
   auto resumeRec = takeResume(cop.name);
   const bool resumedFromSnapshot = resumeRec.has_value();
   if (resumedFromSnapshot) {
-    rss = std::move(resumeRec->rss);
+    rss = std::move(*resumeRec->rss);
     restored = rss.hasCheckpoint();
     resumePhase = restored ? rss.storedIteration() : 0;
     GRADS_INFO("app-manager")

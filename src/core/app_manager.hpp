@@ -150,7 +150,7 @@ struct RunBreakdown {
 /// (DESIGN.md, snapshot/restore invariants): it owns the component registry,
 /// contributes its own "core.apps" section (the completed-apps set plus each
 /// live run's RSS ledger, contract-monitor band, and scrubber totals), and
-/// hands decoded per-app resume records to the next run() of each app.
+/// hands restored per-app resume records to the next run() of each app.
 /// Coroutine frames are never serialized — a restored app relaunches from
 /// its SRS checkpoint ledger at a quiescent boundary, and every background
 /// daemon is re-armed exactly once by that relaunch.
@@ -211,18 +211,17 @@ class AppManager : public core::Snapshottable {
   void restoreFrom(const core::SnapshotImage& image,
                    RestoreKind kind = RestoreKind::kLive);
 
-  /// True if a decoded resume record is waiting for this app's relaunch.
+  /// True if a restored resume record is waiting for this app's relaunch.
   bool hasResumeState(const std::string& app) const;
   /// True if the restored image recorded this app as completed (the
   /// restore protocol must not respawn it).
   bool isCompleted(const std::string& app) const;
 
   const char* snapshotSection() const override { return "core.apps"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
  private:
-  /// Live-run state registered by a run() frame for the snapshot encoder.
+  /// Live-run state registered by a run() frame for snapshot capture.
   struct AppRuntime {
     reschedule::Rss* rss = nullptr;
     const std::unique_ptr<autopilot::ContractMonitor>* monitor = nullptr;
@@ -234,9 +233,10 @@ class AppManager : public core::Snapshottable {
   /// from a map that outlives the manager.
   using LiveMap = std::map<std::string, AppRuntime>;
 
-  /// Decoded per-app state waiting for the app's relaunch.
+  /// Restored per-app state waiting for the app's relaunch. The RSS is
+  /// engaged once the row's app name has been read.
   struct ResumeRecord {
-    reschedule::Rss rss;
+    std::optional<reschedule::Rss> rss;
     bool hasMonitor = false;
     double monUpper = 0.0;
     double monLower = 0.0;

@@ -9,26 +9,6 @@ namespace grads::core {
 
 namespace {
 
-// Field type tags. Values are part of the on-disk format; never reorder.
-enum Tag : std::uint64_t {
-  kTagU64 = 1,
-  kTagI64 = 2,
-  kTagF64 = 3,
-  kTagBool = 4,
-  kTagStr = 5,
-};
-
-const char* tagName(std::uint64_t tag) {
-  switch (tag) {
-    case kTagU64: return "u64";
-    case kTagI64: return "i64";
-    case kTagF64: return "f64";
-    case kTagBool: return "bool";
-    case kTagStr: return "str";
-    default: return "?";
-  }
-}
-
 std::uint64_t f64Bits(double v) {
   std::uint64_t bits = 0;
   std::memcpy(&bits, &v, sizeof(bits));
@@ -44,88 +24,113 @@ double bitsF64(std::uint64_t bits) {
 }  // namespace
 
 // ---------------------------------------------------------------------------
-// SnapshotWriter / SnapshotReader
+// SnapshotIO
 
-void SnapshotWriter::putU64(std::uint64_t v) {
-  words_.push_back(kTagU64);
-  words_.push_back(v);
-}
-
-void SnapshotWriter::putI64(std::int64_t v) {
-  words_.push_back(kTagI64);
-  words_.push_back(static_cast<std::uint64_t>(v));
-}
-
-void SnapshotWriter::putF64(double v) {
-  words_.push_back(kTagF64);
-  words_.push_back(f64Bits(v));
-}
-
-void SnapshotWriter::putBool(bool v) {
-  words_.push_back(kTagBool);
-  words_.push_back(v ? 1 : 0);
-}
-
-void SnapshotWriter::putStr(const std::string& s) {
-  words_.push_back(kTagStr);
-  words_.push_back(s.size());
-  const std::size_t nWords = (s.size() + 7) / 8;
-  for (std::size_t i = 0; i < nWords; ++i) {
-    std::uint64_t w = 0;
-    const std::size_t n = std::min<std::size_t>(8, s.size() - i * 8);
-    std::memcpy(&w, s.data() + i * 8, n);
-    words_.push_back(w);
+void SnapshotIO::f64(double& v) {
+  if (in_ == nullptr) {
+    put(kTagF64, f64Bits(v));
+  } else {
+    v = bitsF64(take(kTagF64));
   }
 }
 
-std::uint64_t SnapshotReader::take(const char* what) {
-  if (pos_ >= words_->size()) {
-    throw SnapshotError(std::string("snapshot section exhausted reading ") +
-                        what);
-  }
-  return (*words_)[pos_++];
-}
-
-namespace {
-void checkTag(std::uint64_t got, std::uint64_t want) {
-  if (got != want) {
-    throw SnapshotError(std::string("snapshot field type mismatch: expected ") +
-                        tagName(want) + ", found " + tagName(got));
+void SnapshotIO::boolean(bool& v) {
+  if (in_ == nullptr) {
+    put(kTagBool, v ? 1 : 0);
+  } else {
+    v = take(kTagBool) != 0;
   }
 }
-}  // namespace
 
-std::uint64_t SnapshotReader::getU64() {
-  checkTag(take("u64 tag"), kTagU64);
-  return take("u64 value");
-}
-
-std::int64_t SnapshotReader::getI64() {
-  checkTag(take("i64 tag"), kTagI64);
-  return static_cast<std::int64_t>(take("i64 value"));
-}
-
-double SnapshotReader::getF64() {
-  checkTag(take("f64 tag"), kTagF64);
-  return bitsF64(take("f64 value"));
-}
-
-bool SnapshotReader::getBool() {
-  checkTag(take("bool tag"), kTagBool);
-  return take("bool value") != 0;
-}
-
-std::string SnapshotReader::getStr() {
-  checkTag(take("str tag"), kTagStr);
-  const std::uint64_t len = take("str length");
+void SnapshotIO::str(std::string& s) {
+  if (in_ == nullptr) {
+    put(kTagStr, s.size());
+    const std::size_t nWords = (s.size() + 7) / 8;
+    for (std::size_t i = 0; i < nWords; ++i) {
+      std::uint64_t w = 0;
+      const std::size_t n = std::min<std::size_t>(8, s.size() - i * 8);
+      std::memcpy(&w, s.data() + i * 8, n);
+      out_.push_back(w);
+    }
+    return;
+  }
+  const std::uint64_t len = take(kTagStr);
+  if (len > remaining() * 8) {
+    throw SnapshotError("snapshot string length " + std::to_string(len) +
+                        " overruns the section");
+  }
+  s.assign(len, '\0');
   const std::size_t nWords = (len + 7) / 8;
-  std::string s(len, '\0');
   for (std::size_t i = 0; i < nWords; ++i) {
-    const std::uint64_t w = take("str payload");
+    const std::uint64_t w = (*in_)[pos_++];
     const std::size_t n = std::min<std::size_t>(8, len - i * 8);
     std::memcpy(s.data() + i * 8, &w, n);
   }
-  return s;
+}
+
+std::uint64_t SnapshotIO::takeCount() {
+  const std::uint64_t n = take(kTagU64);
+  if (n > remaining() / 2) {
+    throw SnapshotError("snapshot element count " + std::to_string(n) +
+                        " overruns the section");
+  }
+  return n;
+}
+
+void SnapshotIO::expect(std::uint64_t v, const char* what) {
+  std::uint64_t got = v;
+  u64(got);
+  if (got != v) {
+    throw SnapshotError(std::string(what) + " (image " + std::to_string(got) +
+                        ", rebuilt " + std::to_string(v) + ")");
+  }
+}
+
+void SnapshotIO::expect(double v, const char* what) {
+  double got = v;
+  f64(got);
+  if (got != v) {
+    throw SnapshotError(std::string(what) + " (image " + std::to_string(got) +
+                        ", rebuilt " + std::to_string(v) + ")");
+  }
+}
+
+void SnapshotIO::expect(const std::string& v, const char* what) {
+  std::string got = v;
+  str(got);
+  if (got != v) {
+    throw SnapshotError(std::string(what) + " (image '" + got +
+                        "', rebuilt '" + v + "')");
+  }
+}
+
+void SnapshotIO::throwInsideHook() {
+  throw SnapshotError(
+      "snapshot archive used inside a prop accessor or onLoad hook (field "
+      "sequences must not depend on the archive direction)");
+}
+
+void SnapshotIO::throwBadField(Tag want) const {
+  const auto name = [](std::uint64_t tag) {
+    constexpr const char* kNames[] = {"?", "u64", "i64", "f64", "bool", "str"};
+    return tag <= kTagStr ? kNames[tag] : "?";
+  };
+  if (pos_ + 2 > in_->size()) {
+    throw SnapshotError(std::string("snapshot section exhausted reading ") +
+                        name(want));
+  }
+  throw SnapshotError(std::string("snapshot field type mismatch: expected ") +
+                      name(want) + ", found " + name((*in_)[pos_]));
+}
+
+void snapshotRng(SnapshotIO& io, Rng& rng) {
+  io.prop([&rng] { return rng.state(); },
+          [&rng](const RngState& st) { rng.setState(st); },
+          [](SnapshotIO& a, RngState& st) {
+            for (std::uint64_t& s : st.s) a.u64(s);
+            a.boolean(st.haveSpare);
+            a.f64(st.spare);
+          });
 }
 
 // ---------------------------------------------------------------------------
@@ -182,6 +187,18 @@ class WordCursor {
     return w;
   }
 
+  /// Reads a count of items packed `perWord` to a word and rejects it,
+  /// before anything is allocated, when they cannot fit in the words left.
+  std::uint64_t nextBounded(const char* what, std::uint64_t perWord) {
+    const std::uint64_t n = next(what);
+    if (n / perWord > remainingWords()) {
+      throw SnapshotError(std::string("snapshot image ") + what + " " +
+                          std::to_string(n) + " overruns the image");
+    }
+    return n;
+  }
+
+  std::size_t remainingWords() const { return (bytes_->size() - pos_) / 8; }
   bool done() const { return pos_ == bytes_->size(); }
 
  private:
@@ -240,10 +257,10 @@ SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
   }
   SnapshotImage img;
   img.simTime = bitsF64(cur.next("sim time"));
-  const std::uint64_t nSections = cur.next("section count");
+  const std::uint64_t nSections = cur.nextBounded("section count", 1);
   for (std::uint64_t i = 0; i < nSections; ++i) {
     SnapshotSection sec;
-    const std::uint64_t nameLen = cur.next("section name length");
+    const std::uint64_t nameLen = cur.nextBounded("section name length", 8);
     const std::size_t nameWords = (nameLen + 7) / 8;
     sec.name.resize(nameLen);
     for (std::size_t j = 0; j < nameWords; ++j) {
@@ -252,7 +269,7 @@ SnapshotImage SnapshotImage::parse(const std::vector<std::uint8_t>& bytes) {
       std::memcpy(sec.name.data() + j * 8, &w, n);
     }
     sec.version = static_cast<std::uint32_t>(cur.next("section version"));
-    const std::uint64_t nWords = cur.next("section word count");
+    const std::uint64_t nWords = cur.nextBounded("section word count", 1);
     sec.words.reserve(nWords);
     for (std::uint64_t j = 0; j < nWords; ++j) {
       sec.words.push_back(cur.next("section payload"));
@@ -290,13 +307,13 @@ void SnapshotRegistry::add(Snapshottable& component) {
 SnapshotImage SnapshotRegistry::capture(double simTime) const {
   SnapshotImage img;
   img.simTime = simTime;
-  for (const auto* c : components_) {
-    SnapshotWriter w;
-    c->encodeState(w);
+  for (auto* c : components_) {
+    SnapshotIO io = SnapshotIO::writer();
+    c->snapshotFields(io);
     SnapshotSection sec;
     sec.name = c->snapshotSection();
     sec.version = c->snapshotVersion();
-    sec.words = w.words();
+    sec.words = std::move(io.out_);
     img.addSection(std::move(sec));
   }
   return img;
@@ -321,13 +338,13 @@ void SnapshotRegistry::restore(const SnapshotImage& image) {
   }
   for (auto* c : components_) {
     const auto* sec = image.findSection(c->snapshotSection());
-    SnapshotReader r(sec->words);
-    c->decodeState(r);
-    if (!r.done()) {
+    SnapshotIO io = SnapshotIO::reader(sec->words);
+    c->snapshotFields(io);
+    if (io.remaining() != 0) {
       throw SnapshotError(std::string("snapshot section '") +
                           c->snapshotSection() + "' has " +
-                          std::to_string(r.remaining()) +
-                          " unread words after decode");
+                          std::to_string(io.remaining()) +
+                          " unread words after restore");
     }
   }
 }

@@ -104,11 +104,10 @@ class FlowRegistry {
 
   /// Snapshot participation (embedded in Grid's "grid.fabric" section).
   /// Link roster/capacities are topology, rebuilt by the testbed builder and
-  /// re-scaled by Grid's link decode; active flows live in coroutine frames
+  /// re-scaled by Grid's link restore; active flows live in coroutine frames
   /// and restart from checkpoints, exactly like PsResource jobs. What
   /// round-trips here is the sharing configuration and the counters.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 
  private:
   struct LinkState {

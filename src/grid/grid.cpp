@@ -218,32 +218,20 @@ double Grid::transferEstimateNow(NodeId src, NodeId dst, double bytes) const {
   return r.latencySec + bytes / bw;
 }
 
-void Grid::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(nodes_.size());
-  w.putU64(links_.size());
-  w.putU64(clusters_.size());
+void Grid::snapshotFields(core::SnapshotIO& io) {
+  constexpr const char* kTopology =
+      "grid.fabric: snapshot topology does not match the rebuilt grid (was "
+      "the testbed builder changed?)";
+  io.expect(nodes_.size(), kTopology);
+  io.expect(links_.size(), kTopology);
+  io.expect(clusters_.size(), kTopology);
   for (const auto& link : links_) {
-    w.putBool(link->isUp());
-    w.putF64(link->bandwidthScale());
+    Link* l = link.get();
+    io.prop([l] { return l->isUp(); }, [l](bool up) { l->setUp(up); });
+    io.prop([l] { return l->bandwidthScale(); },
+            [l](double scale) { l->setBandwidthScale(scale); });
   }
-  flows_->encodeState(w);
-}
-
-void Grid::decodeState(core::SnapshotReader& r) {
-  const std::uint64_t nNodes = r.getU64();
-  const std::uint64_t nLinks = r.getU64();
-  const std::uint64_t nClusters = r.getU64();
-  if (nNodes != nodes_.size() || nLinks != links_.size() ||
-      nClusters != clusters_.size()) {
-    throw core::SnapshotError(
-        "grid.fabric: snapshot topology does not match the rebuilt grid "
-        "(was the testbed builder changed?)");
-  }
-  for (const auto& link : links_) {
-    link->setUp(r.getBool());
-    link->setBandwidthScale(r.getF64());
-  }
-  flows_->decodeState(r);
+  flows_->snapshotFields(io);
 }
 
 }  // namespace grads::grid

@@ -97,14 +97,13 @@ class Grid : public core::Snapshottable {
   /// *configuration*, rebuilt by re-running the scenario's testbed builder;
   /// the snapshot carries only mutable fabric state (link up/scale, flow-
   /// registry configuration and counters) plus the topology counts, which
-  /// decode validates against the rebuilt grid. Background CPU load is
+  /// restore checks against the rebuilt grid. Background CPU load is
   /// deliberately excluded: PsResource job lists are coroutine-held and are
   /// re-armed from their LoadTrace (see applyLoadTraceFrom) at restore;
   /// active network flows likewise live in coroutine frames and restart
   /// from checkpoints.
   const char* snapshotSection() const override { return "grid.fabric"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   sim::Engine& engine() const { return *engine_; }
 

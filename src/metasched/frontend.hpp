@@ -122,7 +122,7 @@ struct JobStats {
 ///
 /// All frontend state (queues, ledgers, RNG streams, brownout rung, busy
 /// accounting) is Snapshottable, so control-plane crash-restart extends to
-/// the metascheduler: decode rebuilds the data, resumeAfterRestore()
+/// the metascheduler: restore rebuilds the data, resumeAfterRestore()
 /// re-arms the daemons and respawns live jobs exactly once.
 class MetaScheduler : public core::Snapshottable {
  public:
@@ -132,7 +132,7 @@ class MetaScheduler : public core::Snapshottable {
 
   /// Fresh start: draws first arrivals and arms the control loop. Once.
   void start();
-  /// Restore protocol: after decodeState (and journal recovery), re-arm
+  /// Restore protocol: after a restore (and journal recovery), re-arm
   /// generators/ticks and respawn every running/parked job in key order.
   /// Mutually exclusive with start(); also once.
   void resumeAfterRestore();
@@ -179,8 +179,7 @@ class MetaScheduler : public core::Snapshottable {
 
   // --- Snapshot participation. ---
   const char* snapshotSection() const override { return "metasched.frontend"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Current admission pressure in [0, inf): max of queue-depth and
   /// backlog-seconds utilization of their admission bounds.
@@ -202,6 +201,8 @@ class MetaScheduler : public core::Snapshottable {
     int deferrals = 0;
     JobState state = JobState::kQueued;
     grid::NodeId node = grid::kNoId;
+
+    void snapshotFields(core::SnapshotIO& io);
   };
 
   /// Runtime-only control block (never serialized; rebuilt on restore).
@@ -224,8 +225,6 @@ class MetaScheduler : public core::Snapshottable {
   sim::Engine& engine() const;
   std::string appName(JobKey key) const;
   double idealSeconds(const Job& job) const;
-  void encodeJobRecord(core::SnapshotWriter& w, const Job& job) const;
-  Job decodeJobRecord(core::SnapshotReader& r) const;
 
   // Arrivals.
   double arrivalRate(const TenantSpec& spec, double t) const;
@@ -274,14 +273,14 @@ class MetaScheduler : public core::Snapshottable {
   std::vector<std::deque<JobKey>> queues_;
   std::map<JobKey, double> resubmitAt_;
   /// Runtime stop-handles; journal recovery rolls parked actions back.
-  // grads: transient(runtime stop-handles, cleared on decode - journal recovery rolls their actions back)
+  // grads: transient(runtime stop-handles, cleared on load - journal recovery rolls their actions back)
   std::map<JobKey, std::shared_ptr<JobControl>> controls_;
   std::vector<grid::NodeId> freeSlots_;
 
-  std::int64_t queuedTotal_ = 0;   // grads: transient(derived gauge, rebuilt from queues_ on decode)
-  double queuedFlops_ = 0.0;       // grads: transient(derived gauge, rebuilt from queues_ on decode)
-  std::int64_t runningCount_ = 0;  // grads: transient(derived gauge, rebuilt from jobs_ on decode)
-  std::int64_t parkedCount_ = 0;   // grads: transient(derived gauge, rebuilt from jobs_ on decode)
+  std::int64_t queuedTotal_ = 0;   // grads: transient(derived gauge, rebuilt from queues_ on load)
+  double queuedFlops_ = 0.0;       // grads: transient(derived gauge, rebuilt from queues_ on load)
+  std::int64_t runningCount_ = 0;  // grads: transient(derived gauge, rebuilt from jobs_ on load)
+  std::int64_t parkedCount_ = 0;   // grads: transient(derived gauge, rebuilt from jobs_ on load)
   // grads: transient(runtime only - journal recovery rolled the park actions back)
   std::int64_t pendingParks_ = 0;
   std::int64_t peakQueueDepth_ = 0;

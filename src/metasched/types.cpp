@@ -12,42 +12,21 @@ const char* brownoutLevelName(BrownoutLevel level) {
   return "?";
 }
 
-void TenantLedger::encodeState(core::SnapshotWriter& w) const {
-  w.putI64(submitted);
-  w.putI64(admitted);
-  w.putI64(shed);
-  w.putI64(resubmits);
-  w.putI64(abandoned);
-  w.putI64(dispatched);
-  w.putI64(completed);
-  w.putI64(failed);
-  w.putI64(preempted);
-  w.putI64(parks);
-  w.putI64(unparked);
-  w.putI64(deferrals);
-  w.putI64(unserved);
-  w.putU64(slowdowns.size());
-  for (const double s : slowdowns) w.putF64(s);
-}
-
-void TenantLedger::decodeState(core::SnapshotReader& r) {
-  submitted = r.getI64();
-  admitted = r.getI64();
-  shed = r.getI64();
-  resubmits = r.getI64();
-  abandoned = r.getI64();
-  dispatched = r.getI64();
-  completed = r.getI64();
-  failed = r.getI64();
-  preempted = r.getI64();
-  parks = r.getI64();
-  unparked = r.getI64();
-  deferrals = r.getI64();
-  unserved = r.getI64();
-  const std::uint64_t n = r.getU64();
-  slowdowns.clear();
-  slowdowns.reserve(n);
-  for (std::uint64_t i = 0; i < n; ++i) slowdowns.push_back(r.getF64());
+void TenantLedger::snapshotFields(core::SnapshotIO& io) {
+  io.i64(submitted);
+  io.i64(admitted);
+  io.i64(shed);
+  io.i64(resubmits);
+  io.i64(abandoned);
+  io.i64(dispatched);
+  io.i64(completed);
+  io.i64(failed);
+  io.i64(preempted);
+  io.i64(parks);
+  io.i64(unparked);
+  io.i64(deferrals);
+  io.i64(unserved);
+  io.seq(slowdowns, [](core::SnapshotIO& a, double& s) { a.f64(s); });
 }
 
 bool BrownoutController::update(double pressure, double now) {
@@ -68,18 +47,11 @@ bool BrownoutController::update(double pressure, double now) {
   return false;
 }
 
-void BrownoutController::encodeState(core::SnapshotWriter& w) const {
-  w.putI64(level_);
-  w.putF64(lastChangeAt_);
-  w.putI64(escalations_);
-  w.putI64(deescalations_);
-}
-
-void BrownoutController::decodeState(core::SnapshotReader& r) {
-  level_ = static_cast<int>(r.getI64());
-  lastChangeAt_ = r.getF64();
-  escalations_ = r.getI64();
-  deescalations_ = r.getI64();
+void BrownoutController::snapshotFields(core::SnapshotIO& io) {
+  io.i64(level_);
+  io.f64(lastChangeAt_);
+  io.i64(escalations_);
+  io.i64(deescalations_);
 }
 
 }  // namespace grads::metasched

@@ -58,8 +58,7 @@ struct TenantLedger {
   /// (completion - submit) / ideal service time, one entry per completion.
   std::vector<double> slowdowns;
 
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 /// Brownout ladder: each rung trades progressively more service for
@@ -103,8 +102,7 @@ class BrownoutController {
   /// rung changed.
   bool update(double pressure, double now);
 
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 
  private:
   BrownoutOptions opts_;  // grads: transient(construction-time config)

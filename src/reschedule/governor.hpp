@@ -65,8 +65,7 @@ class ViolationGovernor : public core::Snapshottable {
     return "reschedule.governor";
   }
   std::uint32_t snapshotVersion() const override { return 2; }  // + holds
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Gate for one confirmed contract violation. kAdmit means the report may
   /// reach the rescheduler; anything else means suppress (and the contract

@@ -69,12 +69,11 @@ class ActionJournal : public core::Snapshottable {
 
   /// Snapshot participation: the full record log round-trips; the derived
   /// indexes (open-action map, in-flight count, counters, cooldown anchors)
-  /// are rebuilt from it on decode, so the image cannot carry an index that
+  /// are rebuilt from it on load, so the image cannot carry an index that
   /// disagrees with its own log.
   const char* snapshotSection() const override { return "reschedule.journal"; }
   std::uint32_t snapshotVersion() const override { return 2; }  // + pinned
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Crash-recovery scan (presumed abort): every unresolved action — still
   /// kPrepared, or caught mid-kCommitting by the crash — is resolved as
@@ -149,12 +148,12 @@ class ActionJournal : public core::Snapshottable {
   sim::Engine* engine_;  // grads: transient(wiring, re-bound at construction)
   std::vector<ActionRecord> records_;
   /// app -> open record id
-  std::map<std::string, int> openByApp_;  // grads: transient(derived index, rebuilt from records_ on decode)
-  std::map<std::string, double> lastResolved_;  // grads: transient(derived index, rebuilt from records_ on decode)
-  int inFlight_ = 0;    // grads: transient(derived counter, rebuilt from records_ on decode)
-  int opened_ = 0;      // grads: transient(derived counter, rebuilt from records_ on decode)
-  int committed_ = 0;   // grads: transient(derived counter, rebuilt from records_ on decode)
-  int rolledBack_ = 0;  // grads: transient(derived counter, rebuilt from records_ on decode)
+  std::map<std::string, int> openByApp_;  // grads: transient(derived index, rebuilt from records_ on load)
+  std::map<std::string, double> lastResolved_;  // grads: transient(derived index, rebuilt from records_ on load)
+  int inFlight_ = 0;    // grads: transient(derived counter, rebuilt from records_ on load)
+  int opened_ = 0;      // grads: transient(derived counter, rebuilt from records_ on load)
+  int committed_ = 0;   // grads: transient(derived counter, rebuilt from records_ on load)
+  int rolledBack_ = 0;  // grads: transient(derived counter, rebuilt from records_ on load)
   int recoveries_ = 0;
   std::function<void(const ActionRecord&)> onResolve_;     // grads: transient(observer callback, re-registered by the owner)
   std::function<void(const ActionRecord&)> onTransition_;  // grads: transient(observer callback, re-registered by the owner)

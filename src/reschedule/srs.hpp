@@ -142,8 +142,7 @@ class Rss {
   /// manifests, stop/failure flags, occupancy, reject counters — round-
   /// trips. A restored manager relaunches the app from exactly this ledger;
   /// the incarnation bump at relaunch is what fences pre-crash zombies out.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 
  private:
   sim::Engine* engine_;  // grads: transient(wiring, re-bound at construction)

@@ -26,6 +26,7 @@ struct Candidate {
   CandidateKind kind = CandidateKind::kSuppress;
   std::vector<grid::NodeId> target;  ///< kMigrate / kSwap destination
   std::string label;                 ///< "model-target", "alternate", ...
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 /// Seeded pessimistic fault future a candidate is additionally scored
@@ -48,6 +49,7 @@ struct Perturbation {
   PerturbationKind kind = PerturbationKind::kNone;
   std::uint64_t seed = 0;
   double severity = 0.0;
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 /// One sandboxed future to run: restore `image` onto a fresh control plane,
@@ -75,6 +77,7 @@ struct ForkOutcome {
   int migrateBacks = 0;           ///< oscillations realized inside the fork
   std::uint64_t events = 0;
   std::uint64_t forkDigest = 0;   ///< pop-stream digest (replay oracle)
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 using SandboxRunner = std::function<ForkOutcome(const ForkRequest&)>;
@@ -121,6 +124,7 @@ struct FutureScore {
   Perturbation perturbation;
   ForkOutcome outcome;
   double harm = 0.0;
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 /// Per-candidate aggregate: minimax — the candidate owns its *worst* future.
@@ -131,6 +135,7 @@ struct CandidateScore {
   double worstMakespanSec = 0.0;
   double totalProgressSec = 0.0;
   double totalCheckpointCostSec = 0.0;
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 /// The full audit record of one decision point: candidates, per-future
@@ -138,7 +143,7 @@ struct CandidateScore {
 /// persisted for replay; the chosen arm's summary also lands in the action
 /// journal note of the pinned record it commits.
 struct DecisionRecord {
-  int id = 0;
+  int id = 0;  // grads: transient(log position, renumbered on load)
   std::string app;
   double at = 0.0;
   std::size_t phase = 0;
@@ -151,6 +156,7 @@ struct DecisionRecord {
   double predictedWorstHarm = 0.0;
   bool settled = false;   ///< realized-outcome tracking resolved
   bool diverged = false;  ///< realized outcome defied the prediction
+  void snapshotFields(core::SnapshotIO& io);
 };
 
 struct DriverStats {
@@ -236,8 +242,7 @@ class ForkDriver : public core::Snapshottable {
   /// plane re-speculates bit-identically. The runner/source/hook callbacks
   /// are wiring, re-supplied at construction like every other component.
   const char* snapshotSection() const override { return "reschedule.whatif"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
  private:
   struct Pending {

@@ -31,8 +31,7 @@ class Gis : public core::Snapshottable {
   /// reported up/down set, ground-truth reachability) is logical state and
   /// round-trips exactly.
   const char* snapshotSection() const override { return "services.gis"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Registers a software package as installed on a node, at a path.
   void installSoftware(grid::NodeId node, const std::string& package,

@@ -76,8 +76,7 @@ class Ibp : public core::Snapshottable {
   /// recreated) and in-flight transfers belong to coroutine frames, which
   /// restart from checkpoints instead of being serialized.
   const char* snapshotSection() const override { return "services.ibp"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Stores `bytes` under `key` in the depot co-located with `atNode`,
   /// written by a process running on `fromNode` (kNoId = atNode): a remote

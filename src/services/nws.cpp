@@ -13,10 +13,7 @@ class LastValue final : public Forecaster {
   void update(double v) override { last_ = v; }
   double forecast() const override { return last_; }
   const char* name() const override { return "last-value"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(last_);
-  }
-  void decodeState(core::SnapshotReader& r) override { last_ = r.getF64(); }
+  void snapshotFields(core::SnapshotIO& io) override { io.f64(last_); }
 
  private:
   double last_ = 0.0;
@@ -30,13 +27,9 @@ class RunningMean final : public Forecaster {
   }
   double forecast() const override { return mean_; }
   const char* name() const override { return "running-mean"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(n_);
-    w.putF64(mean_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    n_ = r.getU64();
-    mean_ = r.getF64();
+  void snapshotFields(core::SnapshotIO& io) override {
+    io.u64(n_);
+    io.f64(mean_);
   }
 
  private:
@@ -61,14 +54,8 @@ class SlidingMedian final : public Forecaster {
     return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
   }
   const char* name() const override { return "sliding-median"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(values_.size());
-    for (const double v : values_) w.putF64(v);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    values_.clear();
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) values_.push_back(r.getF64());
+  void snapshotFields(core::SnapshotIO& io) override {
+    io.seq(values_, [](core::SnapshotIO& a, double& v) { a.f64(v); });
   }
 
  private:
@@ -87,13 +74,9 @@ class ExpSmoothing final : public Forecaster {
   }
   double forecast() const override { return value_; }
   const char* name() const override { return "exp-smoothing"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(value_);
-    w.putBool(first_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    value_ = r.getF64();
-    first_ = r.getBool();
+  void snapshotFields(core::SnapshotIO& io) override {
+    io.f64(value_);
+    io.boolean(first_);
   }
 
  private:
@@ -119,25 +102,18 @@ class SlidingMean final : public Forecaster {
     return values_.empty() ? 0.0 : sum_ / static_cast<double>(values_.size());
   }
   const char* name() const override { return "sliding-mean"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putU64(values_.size());
-    for (const double v : values_) w.putF64(v);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    values_.clear();
-    sum_ = 0.0;
-    const std::uint64_t n = r.getU64();
-    for (std::uint64_t i = 0; i < n; ++i) {
-      const double v = r.getF64();
-      values_.push_back(v);
-      sum_ += v;
-    }
+  void snapshotFields(core::SnapshotIO& io) override {
+    io.seq(values_, [](core::SnapshotIO& a, double& v) { a.f64(v); });
+    io.onLoad([this] {
+      sum_ = 0.0;
+      for (const double v : values_) sum_ += v;
+    });
   }
 
  private:
   std::size_t window_;  // grads: transient(construction-time config)
   std::deque<double> values_;
-  double sum_ = 0.0;  // grads: transient(derived running sum, rebuilt from values_ on decode)
+  double sum_ = 0.0;  // grads: transient(derived running sum, rebuilt from values_ on load)
 };
 
 class Ar1 final : public Forecaster {
@@ -163,23 +139,14 @@ class Ar1 final : public Forecaster {
     return a * prev_ + b;
   }
   const char* name() const override { return "ar1"; }
-  void encodeState(core::SnapshotWriter& w) const override {
-    w.putF64(prev_);
-    w.putU64(n_);
-    w.putF64(pairs_);
-    w.putF64(sx_);
-    w.putF64(sy_);
-    w.putF64(sxx_);
-    w.putF64(sxy_);
-  }
-  void decodeState(core::SnapshotReader& r) override {
-    prev_ = r.getF64();
-    n_ = r.getU64();
-    pairs_ = r.getF64();
-    sx_ = r.getF64();
-    sy_ = r.getF64();
-    sxx_ = r.getF64();
-    sxy_ = r.getF64();
+  void snapshotFields(core::SnapshotIO& io) override {
+    io.f64(prev_);
+    io.u64(n_);
+    io.f64(pairs_);
+    io.f64(sx_);
+    io.f64(sy_);
+    io.f64(sxx_);
+    io.f64(sxy_);
   }
 
  private:
@@ -268,30 +235,16 @@ double ForecasterBattery::bestError() const {
                             : e.absErrorSum / static_cast<double>(e.predictions);
 }
 
-void ForecasterBattery::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(count_);
-  w.putF64(last_);
-  w.putU64(entries_.size());
-  for (const auto& e : entries_) {
-    w.putF64(e.absErrorSum);
-    w.putU64(e.predictions);
-    e.forecaster->encodeState(w);
-  }
-}
-
-void ForecasterBattery::decodeState(core::SnapshotReader& r) {
-  count_ = r.getU64();
-  last_ = r.getF64();
-  const std::uint64_t n = r.getU64();
-  if (n != entries_.size()) {
-    throw core::SnapshotError(
-        "ForecasterBattery: snapshot battery shape does not match (the "
-        "forecaster roster is configuration, not state)");
-  }
+void ForecasterBattery::snapshotFields(core::SnapshotIO& io) {
+  io.u64(count_);
+  io.f64(last_);
+  io.expect(entries_.size(),
+            "ForecasterBattery: snapshot battery shape does not match (the "
+            "forecaster roster is configuration, not state)");
   for (auto& e : entries_) {
-    e.absErrorSum = r.getF64();
-    e.predictions = r.getU64();
-    e.forecaster->decodeState(r);
+    io.f64(e.absErrorSum);
+    io.u64(e.predictions);
+    e.forecaster->snapshotFields(io);
   }
 }
 
@@ -313,72 +266,31 @@ void Nws::start() {
   sampleAll();  // take an immediate reading, then rearm periodically
 }
 
-namespace {
-
-void encodeSeriesMap(core::SnapshotWriter& w,
-                     const std::map<grid::NodeId, ForecasterBattery>& m) {
-  w.putU64(m.size());
-  for (const auto& [key, battery] : m) {
-    w.putU64(key);
-    battery.encodeState(w);
-  }
-}
-
-void decodeSeriesMap(core::SnapshotReader& r,
-                     std::map<grid::NodeId, ForecasterBattery>& m) {
-  m.clear();
-  const std::uint64_t n = r.getU64();
-  for (std::uint64_t i = 0; i < n; ++i) {
-    const auto key = static_cast<grid::NodeId>(r.getU64());
-    m[key].decodeState(r);  // operator[] default-constructs the battery
-  }
-}
-
-}  // namespace
-
-void Nws::encodeState(core::SnapshotWriter& w) const {
-  w.putF64(period_);
-  w.putF64(noise_);
-  const RngState rs = rng_.state();
-  for (const std::uint64_t s : rs.s) w.putU64(s);
-  w.putBool(rs.haveSpare);
-  w.putF64(rs.spare);
-  w.putBool(dark_);
-  w.putF64(staleAfter_);
-  w.putF64(lastSample_);
-  w.putU64(samples_);
-  encodeSeriesMap(w, cpu_);
-  encodeSeriesMap(w, incumbent_);
-  encodeSeriesMap(w, bw_);
-  encodeSeriesMap(w, util_);
-}
-
-void Nws::decodeState(core::SnapshotReader& r) {
-  const double period = r.getF64();
-  const double noise = r.getF64();
-  if (period != period_ || noise != noise_) {
-    throw core::SnapshotError(
-        "services.nws: snapshot sensing configuration (period/noise) does "
-        "not match the rebuilt service");
-  }
-  RngState rs;
-  for (std::uint64_t& s : rs.s) s = r.getU64();
-  rs.haveSpare = r.getBool();
-  rs.spare = r.getF64();
-  rng_.setState(rs);
-  dark_ = r.getBool();
-  staleAfter_ = r.getF64();
-  lastSample_ = r.getF64();
-  samples_ = r.getU64();
-  decodeSeriesMap(r, cpu_);
-  decodeSeriesMap(r, incumbent_);
-  decodeSeriesMap(r, bw_);
-  decodeSeriesMap(r, util_);
+void Nws::snapshotFields(core::SnapshotIO& io) {
+  constexpr const char* kSensing =
+      "services.nws: snapshot sensing configuration (period/noise) does not "
+      "match the rebuilt service";
+  io.expect(period_, kSensing);
+  io.expect(noise_, kSensing);
+  core::snapshotRng(io, rng_);
+  io.boolean(dark_);
+  io.f64(staleAfter_);
+  io.f64(lastSample_);
+  io.u64(samples_);
+  const auto series = [](core::SnapshotIO& a, auto& key,
+                         ForecasterBattery& battery) {
+    a.u64(key);
+    battery.snapshotFields(a);
+  };
+  io.map(cpu_, series);
+  io.map(incumbent_, series);
+  io.map(bw_, series);
+  io.map(util_, series);
   // The sampling daemon is never serialized: restore happens into a fresh
   // engine and the restore protocol re-arms exactly one sampler via
   // start(). Leaving running_ set here would make that start() a no-op and
   // silently kill monitoring after restore — the arm-once trap.
-  running_ = false;
+  io.onLoad([this] { running_ = false; });
 }
 
 double Nws::lastSampleAgeSec() const {

@@ -19,7 +19,7 @@ namespace grads::services {
 /// dynamically selects whichever has the lowest error so far; we reproduce
 /// that design.
 ///
-/// encodeState/decodeState persist the predictor's *fitted* state (windows,
+/// snapshotFields persists the predictor's *fitted* state (windows,
 /// sufficient statistics) so a restored NWS forecasts exactly what the
 /// pre-crash one would have; construction parameters (window sizes, alpha)
 /// are configuration and are re-supplied by the battery constructor.
@@ -29,8 +29,7 @@ class Forecaster {
   virtual void update(double value) = 0;
   virtual double forecast() const = 0;
   virtual const char* name() const = 0;
-  virtual void encodeState(core::SnapshotWriter& w) const = 0;
-  virtual void decodeState(core::SnapshotReader& r) = 0;
+  virtual void snapshotFields(core::SnapshotIO& io) = 0;
 };
 
 std::unique_ptr<Forecaster> makeLastValue();
@@ -58,10 +57,9 @@ class ForecasterBattery {
   double lastValue() const { return last_; }
 
   /// Persists measurement count, last value, and every forecaster's fitted
-  /// state + error score. decode requires the battery shape (entry count)
+  /// state + error score. Restore requires the battery shape (entry count)
   /// to match — the battery roster is configuration, not state.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 
  private:
   struct Entry {
@@ -86,13 +84,12 @@ class Nws : public core::Snapshottable {
 
   /// Snapshot participation: measurement history, every forecaster's fitted
   /// state, the sensing Rng's stream position, and the dark/stale clocks
-  /// all round-trip. The sampling daemon itself is NOT serialized — decode
-  /// always leaves the service stopped, and the restore protocol re-arms it
-  /// with one explicit start() (which is idempotent, so the sampler can
-  /// never be armed twice).
+  /// all round-trip. The sampling daemon itself is NOT serialized — a
+  /// restore always leaves the service stopped, and the restore protocol
+  /// re-arms it with one explicit start() (which is idempotent, so the
+  /// sampler can never be armed twice).
   const char* snapshotSection() const override { return "services.nws"; }
-  void encodeState(core::SnapshotWriter& w) const override;
-  void decodeState(core::SnapshotReader& r) override;
+  void snapshotFields(core::SnapshotIO& io) override;
 
   /// Begins periodic monitoring of every node and link in the grid.
   void start();

@@ -64,41 +64,28 @@ void World::abortRetarget(int rank) {
   ++retargetsAborted_;
 }
 
-void World::encodeState(core::SnapshotWriter& w) const {
-  w.putU64(nodes_.size());
-  for (const auto n : nodes_) w.putU64(n);
-  w.putU64(stagedRetargets_.size());
-  for (const auto& [rank, to] : stagedRetargets_) {
-    w.putI64(rank);
-    w.putU64(to);
-  }
-  w.putU64(retargetsCommitted_);
-  w.putU64(retargetsAborted_);
-  w.putF64(bytesSent_);
-  w.putU64(messagesSent_);
-}
-
-void World::decodeState(core::SnapshotReader& r) {
-  const auto rankCount = r.getU64();
-  if (rankCount != nodes_.size()) {
-    throw core::SnapshotError(
-        "vmpi.world: snapshot rank count does not match this communicator");
-  }
-  for (auto& n : nodes_) {
-    n = static_cast<grid::NodeId>(r.getU64());
-    GRADS_REQUIRE(n < grid_->nodeCount(),
-                  "World::decodeState: unknown node in mapping");
-  }
-  stagedRetargets_.clear();
-  const auto staged = r.getU64();
-  for (std::uint64_t i = 0; i < staged; ++i) {
-    const auto rank = static_cast<int>(r.getI64());
-    stagedRetargets_[rank] = static_cast<grid::NodeId>(r.getU64());
-  }
-  retargetsCommitted_ = static_cast<std::size_t>(r.getU64());
-  retargetsAborted_ = static_cast<std::size_t>(r.getU64());
-  bytesSent_ = r.getF64();
-  messagesSent_ = static_cast<std::size_t>(r.getU64());
+void World::snapshotFields(core::SnapshotIO& io) {
+  io.expect(nodes_.size(),
+            "vmpi.world: snapshot rank count does not match this communicator");
+  for (auto& n : nodes_) io.u64(n);
+  io.onLoad([this] {
+    for (const auto n : nodes_) {
+      if (n >= grid_->nodeCount()) {
+        throw core::SnapshotError("vmpi.world: snapshot maps a rank to node " +
+                                  std::to_string(n) +
+                                  ", which this grid does not have");
+      }
+    }
+  });
+  io.map(stagedRetargets_,
+         [](core::SnapshotIO& a, int& rank, grid::NodeId& to) {
+           a.i64(rank);
+           a.u64(to);
+         });
+  io.u64(retargetsCommitted_);
+  io.u64(retargetsAborted_);
+  io.f64(bytesSent_);
+  io.u64(messagesSent_);
 }
 
 World::Mailbox& World::mailbox(int dst, int tag) {

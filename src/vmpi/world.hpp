@@ -132,15 +132,14 @@ class World {
   double bytesSent() const { return bytesSent_; }
   std::size_t messagesSent() const { return messagesSent_; }
 
-  /// Snapshot support (DESIGN.md, snapshot/restore invariants): encodes the
+  /// Snapshot support (DESIGN.md, snapshot/restore invariants): visits the
   /// *logical* communicator state — the rank→node mapping, any staged
   /// retargets, the retarget tallies, and the traffic totals. Mailboxes,
   /// in-flight requests, and barrier bookkeeping are deliberately excluded:
   /// snapshots are taken at quiescent boundaries where no message is in
   /// flight, and a restored application rebuilds its World at relaunch and
   /// adopts this state onto it.
-  void encodeState(core::SnapshotWriter& w) const;
-  void decodeState(core::SnapshotReader& r);
+  void snapshotFields(core::SnapshotIO& io);
 
   /// Internal mailbox machinery; public only for the recv awaiter.
   struct Waiter {

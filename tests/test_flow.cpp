@@ -244,12 +244,13 @@ TEST(FlowModel, RegistryStateRoundTripsThroughSnapshot) {
                    TransferClass::kInteractive, &doneAt));
   f.eng.run();
 
-  core::SnapshotWriter w;
-  f.g.flows().encodeState(w);
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  f.g.flows().snapshotFields(w);
 
   FlowFixture g2;
-  core::SnapshotReader r(w.words());
-  g2.g.flows().decodeState(r);
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  g2.g.flows().snapshotFields(r);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(g2.g.flows().sharingMode(), FlowRegistry::SharingMode::kMaxMin);
   EXPECT_FALSE(g2.g.flows().pacingEnabled());
   EXPECT_DOUBLE_EQ(g2.g.flows().bulkWeight(), 0.5);

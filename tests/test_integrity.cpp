@@ -346,16 +346,16 @@ TEST(SrsIntegrity, ZombieEpochFencedAcrossCrashRestart) {
   core::SnapshotRegistry reg;
   reg.add(*f.ibp);
   const core::SnapshotImage img = reg.capture(f.eng.now());
-  core::SnapshotWriter rssWords;
-  f.rss.encodeState(rssWords);
+  core::SnapshotIO rssWords = core::SnapshotIO::writer();
+  f.rss.snapshotFields(rssWords);
 
   CkptFixture fresh;
   core::SnapshotRegistry reg2;
   reg2.add(*fresh.ibp);
   reg2.restore(img);
-  core::SnapshotReader rd(rssWords.words());
-  fresh.rss.decodeState(rd);
-  ASSERT_TRUE(rd.done());
+  core::SnapshotIO rd = core::SnapshotIO::reader(rssWords.words());
+  fresh.rss.snapshotFields(rd);
+  ASSERT_EQ(rd.remaining(), 0u);
   ASSERT_EQ(fresh.ibp->fenceEpoch("qr"), 2);  // the fence round-tripped
   ASSERT_EQ(fresh.rss.incarnation(), 2);
   ASSERT_EQ(fresh.rss.storedIteration(), 20u);

@@ -81,12 +81,12 @@ TEST(Brownout, SnapshotRoundTrip) {
   metasched::BrownoutController a(ladderOpts());
   a.update(5.0, 0.0);
   a.update(5.0, 10.0);
-  core::SnapshotWriter w;
-  a.encodeState(w);
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  a.snapshotFields(w);
   metasched::BrownoutController b(ladderOpts());
-  core::SnapshotReader r(w.words());
-  b.decodeState(r);
-  EXPECT_TRUE(r.done());
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  b.snapshotFields(r);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(b.level(), metasched::BrownoutLevel::kPark);
   EXPECT_EQ(b.escalations(), 2);
   // Dwell anchor survives: an immediate post-restore update is still held.
@@ -101,12 +101,12 @@ TEST(TenantLedger, SnapshotRoundTrip) {
   a.shed = 3;
   a.completed = 5;
   a.slowdowns = {1.5, 2.25, 4.0};
-  core::SnapshotWriter w;
-  a.encodeState(w);
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  a.snapshotFields(w);
   metasched::TenantLedger b;
-  core::SnapshotReader r(w.words());
-  b.decodeState(r);
-  EXPECT_TRUE(r.done());
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  b.snapshotFields(r);
+  EXPECT_EQ(r.remaining(), 0u);
   EXPECT_EQ(b.submitted, 10);
   EXPECT_EQ(b.admitted, 7);
   EXPECT_EQ(b.shed, 3);

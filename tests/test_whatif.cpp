@@ -276,13 +276,13 @@ TEST(ForkDriver, StateRoundTripsThroughSnapshot) {
   (void)drv.decide(second);
   drv.noteViolation("qr", 10.0);
 
-  core::SnapshotWriter w;
-  drv.encodeState(w);
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  drv.snapshotFields(w);
 
   ForkDriver back(f.eng, f.opts);
-  core::SnapshotReader r(w.words());
-  back.decodeState(r);
-  EXPECT_TRUE(r.done());
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  back.snapshotFields(r);
+  EXPECT_EQ(r.remaining(), 0u);
 
   EXPECT_EQ(back.decisions().size(), drv.decisions().size());
   EXPECT_EQ(back.stats().decisions, drv.stats().decisions);
@@ -292,10 +292,10 @@ TEST(ForkDriver, StateRoundTripsThroughSnapshot) {
   EXPECT_EQ(back.mistrustOf(1), drv.mistrustOf(1));
   EXPECT_EQ(back.cooldownExtraFor("qr"), drv.cooldownExtraFor("qr"));
 
-  // Encode/decode symmetry (grads-lint R6, proven at runtime): re-encoding
-  // the decoded state reproduces the exact words.
-  core::SnapshotWriter w2;
-  back.encodeState(w2);
+  // Capture/restore symmetry, proven at runtime: capturing the restored
+  // state reproduces the exact words.
+  core::SnapshotIO w2 = core::SnapshotIO::writer();
+  back.snapshotFields(w2);
   EXPECT_EQ(w2.words(), w.words());
 }
 

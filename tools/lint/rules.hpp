@@ -43,7 +43,7 @@ struct AnalyzeOptions {
   bool selfcheck = false;
 };
 
-/// Phase-1 output for one file: the lexical findings (R1–R6) plus the symbol
+/// Phase-1 output for one file: the lexical findings (R1–R5) plus the symbol
 /// model the tree-wide rules (R7–R11) consume. Suppressions are parsed but
 /// not yet matched — matching happens after tree rules run, so waivers cover
 /// symbol-rule findings too (see matchSuppressions).
@@ -64,8 +64,8 @@ struct FileAnalysis {
 ///       engine hot paths already converted to sim::InlineFn.
 ///   R5  include hygiene: banned headers in src/, #pragma once in headers,
 ///       no parent-relative includes, no using-namespace in headers.
-///   R6  snapshot put*/get* call-site symmetry between encodeState and
-///       decodeState of the same class (core/snapshot.hpp).
+///   (R6 is retired: capture and restore share one snapshotFields visitor,
+///   so there are no mirrored halves left to compare.)
 ///   R7  mutable static / thread_local state in src/ — shared mutable
 ///       statics are the shard-killer; const/constexpr are exempt,
 ///       documented singletons carry waivers.
@@ -73,7 +73,7 @@ struct FileAnalysis {
 ///       only point at the same or a lower layer (util → sim → core → grid
 ///       → ... → apps); upward or cyclic includes break the shard seam.
 ///   R9  snapshot field coverage: every data member of a class defining
-///       encodeState must be referenced in its body or carry a
+///       snapshotFields must be referenced in its body or carry a
 ///       `// grads: transient(reason)` annotation.
 ///   R10 by-reference lambda captures ([&] or &name, this excluded) in
 ///       callbacks handed to Engine scheduling/emission call sites.

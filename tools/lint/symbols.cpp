@@ -218,9 +218,9 @@ class SymbolBuilder {
     return nullptr;
   }
 
-  /// Classifies class/struct/union heads exactly like rule R6: a definition
-  /// is a head whose lookahead reaches "{" before any of ";>,)=" — forward
-  /// declarations, template parameters, and enum class never push scope.
+  /// Classifies class/struct/union heads: a definition is a head whose
+  /// lookahead reaches "{" before any of ";>,)=" — forward declarations,
+  /// template parameters, and enum class never push scope.
   bool classDefAt(std::size_t i, std::string* name, std::size_t* bracePos,
                   std::vector<std::string>* bases) const {
     std::size_t n = i + 1;
@@ -731,17 +731,14 @@ class SymbolBuilder {
     }
   }
 
-  // -- encodeState / decodeState definition bodies. ------------------------
+  // -- snapshotFields definition bodies. -----------------------------------
 
   void collectMethods() {
-    // Mirrors rule R6's attribution: out-of-line `Type::encodeState`
-    // qualifies itself; in-class definitions attribute to the innermost
-    // enclosing class body range.
+    // Out-of-line `Type::snapshotFields` qualifies itself; in-class
+    // definitions attribute to the innermost enclosing class body range.
     for (std::size_t i = 0; i < size(); ++i) {
       const Token& t = tok(i);
-      const bool isEncode = isId(t, "encodeState");
-      const bool isDecode = isId(t, "decodeState");
-      if ((!isEncode && !isDecode) || i + 1 >= size() ||
+      if (!isId(t, "snapshotFields") || i + 1 >= size() ||
           !isP(tok(i + 1), "(")) {
         continue;
       }
@@ -771,7 +768,6 @@ class SymbolBuilder {
 
       MethodSym m;
       m.className = cls;
-      m.name = isEncode ? "encodeState" : "decodeState";
       m.file = out_.path;
       m.line = t.line;
       for (std::size_t k = j + 1; k < end; ++k) {

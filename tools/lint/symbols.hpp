@@ -10,7 +10,7 @@ namespace grads::lint {
 
 /// Phase-1 symbol model. Built per file over the lexer's token stream (still
 /// no libclang), then merged tree-wide so the shard-readiness rules R7–R11
-/// can answer symbol questions the lexical rules R1–R6 cannot: which state is
+/// can answer symbol questions the lexical rules R1–R5 cannot: which state is
 /// file-scope mutable, which class fields escape the snapshot, which layers
 /// depend on which, and what engine-scheduled lambdas capture.
 ///
@@ -38,10 +38,9 @@ struct ClassSym {
   std::vector<std::pair<std::string, int>> memberAccesses;
 };
 
-/// An encodeState/decodeState *definition* (in-class or out-of-line).
+/// A snapshotFields *definition* (in-class or out-of-line).
 struct MethodSym {
   std::string className;
-  std::string name;  ///< "encodeState" | "decodeState"
   std::string file;
   int line = 0;
   std::vector<std::string> bodyIdents;  ///< every identifier in the body
