@@ -356,7 +356,7 @@ void MetaScheduler::dispatchJob(JobKey key) {
   ++ledgers_[jobTenant(key)].dispatched;
   integrateBusy();
   ++busyCount_;
-  ++runningCount_;
+  running_.emplace(key, &job);
   auto ctrl = std::make_shared<JobControl>(engine(), /*gateOpen=*/true);
   ctrl->slot->node = node;
   controls_[key] = ctrl;
@@ -421,7 +421,7 @@ void MetaScheduler::onJobFinished(JobKey key, std::shared_ptr<JobControl> ctrl,
   }
   integrateBusy();
   --busyCount_;
-  --runningCount_;
+  running_.erase(key);
   freeSlots_.push_back(job.node);
 
   // Surface the frontend's view of this run in its breakdown (satellite:
@@ -486,28 +486,32 @@ void MetaScheduler::maybePreempt() {
     if (!parkRung && !starving) return;
 
     // Victim: lowest tier first, then most recently (re)started, then
-    // lowest key — deterministic, and it evicts the least sunk cost.
+    // lowest key — deterministic, and it evicts the least sunk cost. The
+    // roster is in key order, so the first job that beats the pick so far
+    // and passes the eligibility checks wins; testing the order first
+    // skips the map and journal lookups for jobs that could not win.
     bool found = false;
     JobKey victim = 0;
     int vTier = 0;
     double vStart = 0.0;
-    for (const auto& [key, job] : jobs_) {
-      if (job.state != JobState::kRunning || job.tier >= reqTier) continue;
-      const auto cit = controls_.find(key);
-      if (cit == controls_.end() || cit->second->parkPending) continue;
-      if (now - job.lastStartAt < opts_.preempt.minRunSec) continue;
+    for (const auto& [key, job] : running_) {
+      if (job->tier >= reqTier) continue;
+      if (found && !(job->tier < vTier ||
+                     (job->tier == vTier && job->lastStartAt > vStart))) {
+        continue;
+      }
+      if (now - job->lastStartAt < opts_.preempt.minRunSec) continue;
       if (now - tenants_[jobTenant(key)].lastPreemptAt <
           opts_.preempt.cooldownSec) {
         continue;
       }
+      const auto cit = controls_.find(key);
+      if (cit == controls_.end() || cit->second->parkPending) continue;
       if (journal_->openAction(appName(key)) != nullptr) continue;
-      if (!found || job.tier < vTier ||
-          (job.tier == vTier && job.lastStartAt > vStart)) {
-        found = true;
-        victim = key;
-        vTier = job.tier;
-        vStart = job.lastStartAt;
-      }
+      found = true;
+      victim = key;
+      vTier = job->tier;
+      vStart = job->lastStartAt;
     }
     if (!found || !preempt(victim)) return;
   }
@@ -545,7 +549,7 @@ void MetaScheduler::onParkedAtGate(JobKey key,
   ++ledgers_[jobTenant(key)].parks;
   integrateBusy();
   --busyCount_;
-  --runningCount_;
+  running_.erase(key);
   ++parkedCount_;
   freeSlots_.push_back(job.node);
   job.node = grid::kNoId;
@@ -564,7 +568,7 @@ void MetaScheduler::unpark(JobKey key) {
   ctrl->slot->node = node;
   integrateBusy();
   ++busyCount_;
-  ++runningCount_;
+  running_.emplace(key, &job);
   --parkedCount_;
   ++ledgers_[jobTenant(key)].unparked;
   fire("unpark");
@@ -650,7 +654,7 @@ void MetaScheduler::controlTick() {
   queueDepthSum_ += static_cast<double>(queuedTotal_);
   if (queuedTotal_ > peakQueueDepth_) peakQueueDepth_ = queuedTotal_;
   if (onSample_) {
-    onSample_(now, queuedTotal_, runningCount_, parkedCount_, pressure(),
+    onSample_(now, queuedTotal_, runningJobs(), parkedCount_, pressure(),
               brownout_.level());
   }
   pump();  // also re-arms the tick
@@ -844,11 +848,12 @@ void MetaScheduler::snapshotFields(core::SnapshotIO& io) {
         queuedFlops_ += jobs_.at(key).sizeFlops;
       }
     }
-    runningCount_ = 0;
     parkedCount_ = 0;
-    for (const auto& [key, job] : jobs_) {
-      (void)key;
-      if (job.state == JobState::kRunning) ++runningCount_;
+    running_.clear();
+    for (auto& [key, job] : jobs_) {
+      if (job.state == JobState::kRunning) {
+        running_.emplace_hint(running_.end(), key, &job);
+      }
       if (job.state == JobState::kParked) ++parkedCount_;
     }
     pendingParks_ = 0;

@@ -129,6 +129,8 @@ class MetaScheduler : public core::Snapshottable {
   MetaScheduler(core::AppManager& mgr, grid::Grid& grid, services::Gis& gis,
                 const services::Nws* nws, reschedule::ActionJournal* journal,
                 FrontendOptions opts);
+  MetaScheduler(const MetaScheduler&) = delete;  // running_ points into jobs_
+  MetaScheduler& operator=(const MetaScheduler&) = delete;
 
   /// Fresh start: draws first arrivals and arms the control loop. Once.
   void start();
@@ -142,7 +144,9 @@ class MetaScheduler : public core::Snapshottable {
   const std::vector<TenantLedger>& ledgers() const { return ledgers_; }
   BrownoutLevel brownoutLevel() const { return brownout_.level(); }
   std::int64_t queueDepth() const { return queuedTotal_; }
-  std::int64_t runningJobs() const { return runningCount_; }
+  std::int64_t runningJobs() const {
+    return static_cast<std::int64_t>(running_.size());
+  }
   std::int64_t parkedJobs() const { return parkedCount_; }
   std::int64_t jobsInSystem() const {
     return static_cast<std::int64_t>(jobs_.size());
@@ -150,7 +154,7 @@ class MetaScheduler : public core::Snapshottable {
   /// True when every admitted job reached a terminal state (nothing queued,
   /// running, or parked) — the crash sweep's completion criterion.
   bool drained() const {
-    return queuedTotal_ == 0 && runningCount_ == 0 && parkedCount_ == 0;
+    return queuedTotal_ == 0 && running_.empty() && parkedCount_ == 0;
   }
   /// All slowdown samples across tenants (campaign percentile input).
   std::vector<double> allSlowdowns() const;
@@ -276,10 +280,15 @@ class MetaScheduler : public core::Snapshottable {
   // grads: transient(runtime stop-handles, cleared on load - journal recovery rolls their actions back)
   std::map<JobKey, std::shared_ptr<JobControl>> controls_;
   std::vector<grid::NodeId> freeSlots_;
+  /// Exactly the kRunning jobs, in key order: it changes wherever a job
+  /// enters or leaves kRunning, and the preemption victim scan walks it
+  /// instead of every non-terminal job. Pointers stay valid because jobs_
+  /// is a node map and a job leaves the roster before it leaves jobs_.
+  // grads: transient(derived roster, rebuilt from jobs_ on load)
+  std::map<JobKey, Job*> running_;
 
   std::int64_t queuedTotal_ = 0;   // grads: transient(derived gauge, rebuilt from queues_ on load)
   double queuedFlops_ = 0.0;       // grads: transient(derived gauge, rebuilt from queues_ on load)
-  std::int64_t runningCount_ = 0;  // grads: transient(derived gauge, rebuilt from jobs_ on load)
   std::int64_t parkedCount_ = 0;   // grads: transient(derived gauge, rebuilt from jobs_ on load)
   // grads: transient(runtime only - journal recovery rolled the park actions back)
   std::int64_t pendingParks_ = 0;

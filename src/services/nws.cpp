@@ -1,6 +1,8 @@
 #include "services/nws.hpp"
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 
 #include "util/error.hpp"
 
@@ -41,26 +43,40 @@ class SlidingMedian final : public Forecaster {
  public:
   explicit SlidingMedian(std::size_t window) : window_(window) {
     GRADS_REQUIRE(window >= 1, "SlidingMedian: empty window");
+    sorted_.reserve(window + 1);  // update() inserts before it evicts
   }
+  // The sorted copy is the window as a multiset under `<`: insert after
+  // every equal value, evict the first one equal to the leaving value. The
+  // median reads the same order statistics a sort of the window would.
   void update(double v) override {
     values_.push_back(v);
-    if (values_.size() > window_) values_.pop_front();
+    sorted_.insert(std::upper_bound(sorted_.begin(), sorted_.end(), v), v);
+    if (values_.size() > window_) {
+      sorted_.erase(
+          std::lower_bound(sorted_.begin(), sorted_.end(), values_.front()));
+      values_.pop_front();
+    }
   }
   double forecast() const override {
-    if (values_.empty()) return 0.0;
-    std::vector<double> v(values_.begin(), values_.end());
-    std::sort(v.begin(), v.end());
-    const std::size_t mid = v.size() / 2;
-    return v.size() % 2 == 1 ? v[mid] : 0.5 * (v[mid - 1] + v[mid]);
+    if (sorted_.empty()) return 0.0;
+    const std::size_t mid = sorted_.size() / 2;
+    return sorted_.size() % 2 == 1 ? sorted_[mid]
+                                   : 0.5 * (sorted_[mid - 1] + sorted_[mid]);
   }
   const char* name() const override { return "sliding-median"; }
   void snapshotFields(core::SnapshotIO& io) override {
     io.seq(values_, [](core::SnapshotIO& a, double& v) { a.f64(v); });
+    io.onLoad([this] {
+      sorted_.assign(values_.begin(), values_.end());
+      std::sort(sorted_.begin(), sorted_.end());
+    });
   }
 
  private:
   std::size_t window_;  // grads: transient(construction-time config)
   std::deque<double> values_;
+  // grads: transient(derived sorted window, rebuilt from values_ on load)
+  std::vector<double> sorted_;
 };
 
 class ExpSmoothing final : public Forecaster {
@@ -180,6 +196,7 @@ std::unique_ptr<Forecaster> makeExpSmoothing(double alpha) {
 }
 
 ForecasterBattery::ForecasterBattery() {
+  entries_.reserve(8);
   entries_.push_back(Entry{makeLastValue()});
   entries_.push_back(Entry{makeRunningMean()});
   entries_.push_back(Entry{makeSlidingMedian(5)});
@@ -192,16 +209,20 @@ ForecasterBattery::ForecasterBattery() {
 
 void ForecasterBattery::addMeasurement(double value) {
   // Score each forecaster's *prior* prediction against this measurement,
-  // then feed it the new observation — the NWS postcasting scheme.
+  // then feed it the new observation — the NWS postcasting scheme. Each
+  // forecaster predicts once per measurement; every read until the next
+  // measurement is served from that cached prediction.
   for (auto& e : entries_) {
     if (count_ > 0) {
-      e.absErrorSum += std::abs(e.forecaster->forecast() - value);
+      e.absErrorSum += std::abs(e.prediction - value);
       ++e.predictions;
     }
     e.forecaster->update(value);
+    e.prediction = e.forecaster->forecast();
   }
   last_ = value;
   ++count_;
+  best_ = bestIndex();
 }
 
 std::size_t ForecasterBattery::bestIndex() const {
@@ -222,15 +243,15 @@ std::size_t ForecasterBattery::bestIndex() const {
 
 double ForecasterBattery::forecast() const {
   GRADS_REQUIRE(count_ > 0, "ForecasterBattery: no measurements yet");
-  return entries_[bestIndex()].forecaster->forecast();
+  return entries_[best_].prediction;
 }
 
 std::string ForecasterBattery::bestName() const {
-  return entries_[bestIndex()].forecaster->name();
+  return entries_[best_].forecaster->name();
 }
 
 double ForecasterBattery::bestError() const {
-  const auto& e = entries_[bestIndex()];
+  const auto& e = entries_[best_];
   return e.predictions == 0 ? 0.0
                             : e.absErrorSum / static_cast<double>(e.predictions);
 }
@@ -246,6 +267,10 @@ void ForecasterBattery::snapshotFields(core::SnapshotIO& io) {
     io.u64(e.predictions);
     e.forecaster->snapshotFields(io);
   }
+  io.onLoad([this] {
+    for (auto& e : entries_) e.prediction = e.forecaster->forecast();
+    best_ = bestIndex();
+  });
 }
 
 Nws::Nws(sim::Engine& engine, grid::Grid& grid, double periodSec,

@@ -42,7 +42,9 @@ std::unique_ptr<Forecaster> makeExpSmoothing(double alpha);
 std::unique_ptr<Forecaster> makeAr1();
 
 /// Battery of forecasters with per-forecaster mean-absolute-error tracking;
-/// forecast() delegates to the current best.
+/// forecast() delegates to the current best. Every forecaster predicts once
+/// per measurement: addMeasurement() caches each prediction and the best
+/// index, so forecast(), bestName() and bestError() are reads.
 class ForecasterBattery {
  public:
   ForecasterBattery();  ///< the standard NWS-style battery
@@ -66,12 +68,17 @@ class ForecasterBattery {
     std::unique_ptr<Forecaster> forecaster;
     double absErrorSum = 0.0;
     std::size_t predictions = 0;
+    /// forecaster->forecast() as of the latest measurement.
+    // grads: transient(derived prediction, rebuilt from the forecaster on load)
+    double prediction = 0.0;
   };
   std::size_t bestIndex() const;
 
   std::vector<Entry> entries_;
   std::size_t count_ = 0;
   double last_ = 0.0;
+  // grads: transient(derived best-forecaster index, rebuilt from entries_ on load)
+  std::size_t best_ = 0;
 };
 
 /// The Network Weather Service: periodically senses node CPU availability

@@ -9,6 +9,8 @@
 #include <functional>
 #include <optional>
 #include <set>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "core/app_manager.hpp"
@@ -584,6 +586,128 @@ TEST(MetaScheduler, SnapshotRestoreResumesAndDrains) {
   World c;
   const std::uint64_t dc = restoreAndDrain(c);
   EXPECT_EQ(db, dc);
+}
+
+// ---------------------------------------------------------------------------
+// Preemption victim sequence, pinned. The victim scan walks the running-job
+// roster; these lists were recorded when it walked the whole job table, so
+// any change to which job is picked, or when, shows up here.
+// ---------------------------------------------------------------------------
+
+using Preemption = std::pair<double, std::string>;  ///< (sim time, app)
+
+/// Appends (now, app) for every preempt action the journal opens.
+void recordPreemptions(World& w, std::vector<Preemption>& out) {
+  w.journal->setOnTransition([&w, &out](const reschedule::ActionRecord& r) {
+    if (r.kind == reschedule::ActionKind::kPreempt &&
+        r.state == reschedule::ActionState::kPrepared) {
+      out.emplace_back(w.eng.now(), r.app);
+    }
+  });
+}
+
+std::vector<Preemption> runPreemptions(
+    int nSlots, const std::function<void(metasched::FrontendOptions&)>& tweak) {
+  World w;
+  buildWorld(w, nSlots, [&w, &tweak](metasched::FrontendOptions& fo) {
+    applyOverloadConfig(w, fo);
+    tweak(fo);
+  });
+  std::vector<Preemption> seq;
+  recordPreemptions(w, seq);
+  w.meta->start();
+  w.eng.run();
+  w.eng.rethrowIfFailed();
+  auditTotals(w);
+  return seq;
+}
+
+TEST(MetaScheduler, OverloadPreemptionVictimSequenceIsPinned) {
+  const std::vector<Preemption> want = {
+      {390.0, "t1.j7"},
+      {540.7379337785752, "t1.j11"},
+      {680.2166377907915, "t2.j7"},
+      {698.0679961287301, "t1.j16"},
+      {778.739535456422, "t2.j8"},
+      {906.5116466977042, "t1.j21"},
+      {1050.0, "t2.j7"},
+      {1050.0, "t1.j21"},
+      {1140.0, "t2.j8"},
+  };
+  EXPECT_EQ(runPreemptions(4, [](metasched::FrontendOptions&) {}), want);
+}
+
+TEST(MetaScheduler, HairTriggerPreemptionVictimSequenceIsPinned) {
+  // Short cooldown, run floor and starvation bound on six slots: victims
+  // are picked in bursts, including two in one instant and ties on tier.
+  const std::vector<Preemption> want = {
+      {367.5337161761377, "t2.j12"},
+      {367.5337161761377, "t1.j7"},
+      {381.42742032435643, "t2.j11"},
+      {400.0949485492047, "t2.j12"},
+      {410.67220818257937, "t2.j8"},
+      {457.7662945228367, "t2.j8"},
+      {514.0789775152515, "t2.j8"},
+      {834.4055348017341, "t2.j20"},
+      {847.1219400958505, "t2.j17"},
+      {870.0, "t2.j17"},
+      {880.5458672976513, "t2.j20"},
+      {892.1933048213916, "t2.j17"},
+      {915.5036414748098, "t2.j17"},
+      {1047.6301953572192, "t2.j25"},
+      {1047.6301953572192, "t1.j25"},
+      {1060.03162386791, "t2.j24"},
+      {1070.7661789918106, "t2.j25"},
+      {1070.7661789918106, "t1.j25"},
+      {1082.2451499004158, "t2.j23"},
+      {1094.5953640652165, "t2.j25"},
+  };
+  const auto hairTrigger = [](metasched::FrontendOptions& fo) {
+    fo.preempt.cooldownSec = 10.0;
+    fo.preempt.minRunSec = 5.0;
+    fo.preempt.highTierMaxWaitSec = 30.0;
+  };
+  EXPECT_EQ(runPreemptions(6, hairTrigger), want);
+}
+
+TEST(MetaScheduler, RestoredRosterPicksTheUncrashedNextVictim) {
+  // Restore rolls in-flight parks back and relaunches running jobs, so a
+  // restored arm's timeline can drift from the uncrashed one. From the
+  // 700 s image it does not drift before the next preemption, whose victim
+  // is running at the cut: the victim comes from the roster rebuilt on
+  // load and must be the uncrashed arm's, at the same instant.
+  constexpr double kCut = 700.0;
+  const std::vector<Preemption> uncrashed =
+      runPreemptions(4, [](metasched::FrontendOptions&) {});
+  const auto next = std::find_if(
+      uncrashed.begin(), uncrashed.end(),
+      [](const Preemption& p) { return p.first > kCut; });
+  ASSERT_NE(next, uncrashed.end());
+
+  World a;
+  buildWorld(a, 4, [&a](metasched::FrontendOptions& fo) {
+    applyOverloadConfig(a, fo);
+  });
+  a.meta->start();
+  a.eng.runUntil(kCut);
+  const std::vector<std::uint8_t> bytes = a.mgr->snapshotNow().serialize();
+
+  World b;
+  buildWorld(b, 4, [&b](metasched::FrontendOptions& fo) {
+    applyOverloadConfig(b, fo);
+  }, /*armDaemons=*/false);
+  const core::SnapshotImage parsed = core::SnapshotImage::parse(bytes);
+  b.eng.runUntil(parsed.simTime);
+  b.mgr->restoreFrom(parsed);
+  b.journal->recover("test restart");
+  std::vector<Preemption> restored;
+  recordPreemptions(b, restored);
+  b.nws->start();
+  b.meta->resumeAfterRestore();
+  b.eng.runUntil(next->first + 1.0);
+  b.eng.rethrowIfFailed();
+  ASSERT_FALSE(restored.empty());
+  EXPECT_EQ(restored.front(), *next);
 }
 
 }  // namespace

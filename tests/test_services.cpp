@@ -1,5 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdint>
+#include <deque>
+#include <set>
+#include <string>
+#include <vector>
+
+#include "core/snapshot.hpp"
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
 #include "services/gis.hpp"
@@ -31,6 +39,49 @@ TEST(Forecasters, SlidingMedianIgnoresSpikes) {
   EXPECT_DOUBLE_EQ(f->forecast(), 1.0);
 }
 
+TEST(Forecasters, SlidingMedianMatchesSortedReference) {
+  // Values on a 1/16 grid: long runs of ties, so equal values are evicted
+  // while equal copies stay in the window. Every step must match a sort of
+  // the window exactly, and a forecaster restored mid-stream must carry on
+  // exactly as the uninterrupted one.
+  for (const std::size_t window : {1u, 2u, 5u, 21u}) {
+    SCOPED_TRACE(window);
+    auto f = makeSlidingMedian(window);
+    std::deque<double> ref;
+    Rng rng(window);
+    const auto next = [&rng] {
+      return static_cast<double>(rng.uniformInt(0, 15)) / 16.0;
+    };
+    for (int i = 0; i < 10000; ++i) {
+      const double v = next();
+      f->update(v);
+      ref.push_back(v);
+      if (ref.size() > window) ref.pop_front();
+      std::vector<double> sorted(ref.begin(), ref.end());
+      std::sort(sorted.begin(), sorted.end());
+      const std::size_t mid = sorted.size() / 2;
+      const double want = sorted.size() % 2 == 1
+                              ? sorted[mid]
+                              : 0.5 * (sorted[mid - 1] + sorted[mid]);
+      ASSERT_EQ(f->forecast(), want) << "step " << i;
+    }
+
+    core::SnapshotIO w = core::SnapshotIO::writer();
+    f->snapshotFields(w);
+    auto restored = makeSlidingMedian(window);
+    core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+    restored->snapshotFields(r);
+    EXPECT_EQ(r.remaining(), 0u);
+    EXPECT_EQ(restored->forecast(), f->forecast());
+    for (int i = 0; i < 100; ++i) {
+      const double v = next();
+      f->update(v);
+      restored->update(v);
+      ASSERT_EQ(restored->forecast(), f->forecast()) << "step " << i;
+    }
+  }
+}
+
 TEST(Forecasters, ExpSmoothingWeighsRecent) {
   auto f = makeExpSmoothing(0.5);
   f->update(0.0);
@@ -60,6 +111,45 @@ TEST(Battery, TracksStepChange) {
   for (int i = 0; i < 50; ++i) b.addMeasurement(0.25);
   // After a sustained shift, the forecast must follow the new level.
   EXPECT_NEAR(b.forecast(), 0.25, 0.15);
+}
+
+TEST(Battery, CachedForecastSurvivesSnapshotRoundTrip) {
+  // Values on a 1/64 grid keep the sliding mean's sum exact, so its sum
+  // rebuilt on load equals the running one. The level steps every 40
+  // measurements, so the best forecaster changes after the restore. The
+  // restored battery must serve the same cached forecast and best
+  // forecaster right after load and after every later measurement.
+  ForecasterBattery live;
+  Rng rng(11);
+  int step = 0;
+  const auto next = [&rng, &step] {
+    const int level = (step++ / 40) % 2 == 0 ? 16 : 48;
+    return static_cast<double>(level + rng.uniformInt(-4, 4)) / 64.0;
+  };
+  for (int i = 0; i < 300; ++i) live.addMeasurement(next());
+
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  live.snapshotFields(w);
+  ForecasterBattery restored;
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  restored.snapshotFields(r);
+  EXPECT_EQ(r.remaining(), 0u);
+  EXPECT_EQ(restored.measurements(), live.measurements());
+  EXPECT_EQ(restored.forecast(), live.forecast());
+  EXPECT_EQ(restored.bestName(), live.bestName());
+  EXPECT_EQ(restored.bestError(), live.bestError());
+
+  std::set<std::string> bests;
+  for (int i = 0; i < 500; ++i) {
+    const double v = next();
+    live.addMeasurement(v);
+    restored.addMeasurement(v);
+    ASSERT_EQ(restored.forecast(), live.forecast()) << "step " << i;
+    ASSERT_EQ(restored.bestName(), live.bestName()) << "step " << i;
+    ASSERT_EQ(restored.bestError(), live.bestError()) << "step " << i;
+    bests.insert(live.bestName());
+  }
+  EXPECT_GT(bests.size(), 1u);
 }
 
 TEST(Battery, ForecastBeforeDataThrows) {
