@@ -56,6 +56,7 @@ LinkId Grid::connectClusters(ClusterId a, ClusterId b, LinkSpec spec) {
   const LinkId id = links_.size();
   links_.push_back(std::make_unique<Link>(*flows_, id, std::move(spec)));
   wan_[{std::min(a, b), std::max(a, b)}] = id;
+  routes_.clear();
   return id;
 }
 
@@ -106,10 +107,20 @@ std::vector<NodeId> Grid::allNodes() const {
 Route Grid::route(NodeId src, NodeId dst) const {
   GRADS_REQUIRE(src < nodes_.size() && dst < nodes_.size(),
                 "route: unknown node");
-  Route r;
-  if (src == dst) return r;
+  if (src == dst) return Route{};
   const ClusterId cs = nodes_[src]->cluster();
   const ClusterId cd = nodes_[dst]->cluster();
+  // One slot per ordered cluster pair: a new cluster changes the size and
+  // so empties the memo, as connectClusters' clear() does.
+  const std::size_t n = clusters_.size();
+  if (routes_.size() != n * n) routes_.assign(n * n, std::nullopt);
+  std::optional<Route>& memo = routes_[cs * n + cd];
+  if (!memo) memo = clusterRoute(cs, cd);
+  return *memo;
+}
+
+Route Grid::clusterRoute(ClusterId cs, ClusterId cd) const {
+  Route r;
   if (cs == cd) {
     r.links.push_back(clusters_[cs].lan);
     r.latencySec = links_[clusters_[cs].lan]->latency();

@@ -125,7 +125,11 @@ class Grid : public core::Snapshottable {
   std::optional<NodeId> findNode(const std::string& name) const;
   std::vector<NodeId> allNodes() const;
 
-  /// Resolves the route between two nodes (BFS over the cluster graph).
+  /// Resolves the route between two nodes. A route depends only on the
+  /// two nodes' clusters and the cluster graph, so the BFS runs once per
+  /// ordered cluster pair and later calls copy the memoized Route; adding
+  /// a cluster or a WAN link forgets every memoized route. Link up/down
+  /// state is not part of a route (callers check it).
   Route route(NodeId src, NodeId dst) const;
 
   /// True when every link on the route between the two nodes is up.
@@ -161,6 +165,10 @@ class Grid : public core::Snapshottable {
   std::vector<Cluster> clusters_;
   // grads: transient(route index rebuilt by the testbed builder - only dynamic link state is decoded)
   std::map<std::pair<ClusterId, ClusterId>, LinkId> wan_;
+  // grads: transient(route memo derived from the topology, filled on first use, emptied by addCluster/connectClusters)
+  mutable std::vector<std::optional<Route>> routes_;
+
+  Route clusterRoute(ClusterId cs, ClusterId cd) const;
 };
 
 }  // namespace grads::grid

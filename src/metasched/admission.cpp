@@ -4,7 +4,19 @@
 
 namespace grads::metasched {
 
+AdmissionController::CapacityKey AdmissionController::capacityKey() const {
+  CapacityKey key;
+  key.gisEpoch = gis_->reachabilityEpoch();
+  if (nws_ != nullptr) {
+    key.nwsEpoch = nws_->measurementEpoch();
+    key.stale = nws_->stale();
+  }
+  return key;
+}
+
 double AdmissionController::capacityFlops() const {
+  const CapacityKey key = capacityKey();
+  if (capacity_ && capacity_->first == key) return capacity_->second;
   double total = 0.0;
   for (const grid::NodeId n : slots_) {
     if (!gis_->isNodeReachable(n)) continue;
@@ -15,6 +27,7 @@ double AdmissionController::capacityFlops() const {
     }
     total += rate;
   }
+  capacity_.emplace(key, total);
   return total;
 }
 

@@ -1,6 +1,9 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "grid/grid.hpp"
@@ -51,7 +54,9 @@ class AdmissionController {
 
   /// Aggregate effective rate of the reachable slot pool: NWS forecast
   /// where one exists, static node spec otherwise (the NWS degradation
-  /// ladder's last rung).
+  /// ladder's last rung). Its inputs change only with an NWS sweep or load,
+  /// a switch to last-known values (stale), or a reachability change, so
+  /// the sum is computed once per (NWS epoch, stale, GIS epoch) and reused.
   double capacityFlops() const;
 
   AdmissionDecision decide(int tier, std::size_t tenantDepth,
@@ -64,6 +69,16 @@ class AdmissionController {
   const services::Nws* nws_;
   std::vector<grid::NodeId> slots_;
   AdmissionOptions opts_;
+
+  struct CapacityKey {
+    std::uint64_t nwsEpoch = 0;
+    bool stale = false;
+    std::uint64_t gisEpoch = 0;
+    bool operator==(const CapacityKey&) const = default;
+  };
+  CapacityKey capacityKey() const;
+  // grads: transient(capacity memo keyed on its inputs' epochs, recomputed on first use)
+  mutable std::optional<std::pair<CapacityKey, double>> capacity_;
 };
 
 }  // namespace grads::metasched

@@ -268,7 +268,7 @@ class MetaScheduler : public core::Snapshottable {
   const services::Nws* nws_;   // grads: transient(wiring, re-bound at construction)
   reschedule::ActionJournal* journal_;  // grads: transient(wiring, re-bound at construction)
   FrontendOptions opts_;       // grads: transient(construction-time config)
-  AdmissionController admission_;  // grads: transient(stateless policy over wiring + config)
+  AdmissionController admission_;  // grads: transient(policy over wiring + config; its capacity memo is keyed on input epochs)
   BrownoutController brownout_;
 
   std::vector<TenantLedger> ledgers_;

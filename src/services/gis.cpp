@@ -70,6 +70,7 @@ void Gis::setNodeReachable(grid::NodeId node, bool reachable) {
   } else {
     unreachable_.insert(node);
   }
+  ++reachEpoch_;
 }
 
 bool Gis::isNodeReachable(grid::NodeId node) const {
@@ -97,6 +98,7 @@ void Gis::snapshotFields(core::SnapshotIO& io) {
   const auto nodeId = [](core::SnapshotIO& a, grid::NodeId& id) { a.u64(id); };
   io.seq(down_, nodeId);
   io.seq(unreachable_, nodeId);
+  io.onLoad([this] { ++reachEpoch_; });
 }
 
 }  // namespace grads::services

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <map>
 #include <optional>
 #include <set>
@@ -61,6 +62,9 @@ class Gis : public core::Snapshottable {
   /// fails (the stale-GIS failure mode).
   void setNodeReachable(grid::NodeId node, bool reachable);
   bool isNodeReachable(grid::NodeId node) const;
+  /// Changes whenever reachability may have changed (setNodeReachable,
+  /// snapshot load); a cache key for values derived from it.
+  std::uint64_t reachabilityEpoch() const { return reachEpoch_; }
 
   /// All currently-available nodes ("determine which resources are
   /// available", paper §1) — per the directory, stale entries included.
@@ -73,6 +77,8 @@ class Gis : public core::Snapshottable {
   std::map<grid::NodeId, std::map<std::string, std::string>> software_;
   std::set<grid::NodeId> down_;         ///< reported (directory) state
   std::set<grid::NodeId> unreachable_;  ///< actual state
+  // grads: transient(cache key for consumers, bumped by every reachability change and load)
+  std::uint64_t reachEpoch_ = 0;
 };
 
 }  // namespace grads::services

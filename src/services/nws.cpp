@@ -315,7 +315,10 @@ void Nws::snapshotFields(core::SnapshotIO& io) {
   // engine and the restore protocol re-arms exactly one sampler via
   // start(). Leaving running_ set here would make that start() a no-op and
   // silently kill monitoring after restore — the arm-once trap.
-  io.onLoad([this] { running_ = false; });
+  io.onLoad([this] {
+    running_ = false;
+    ++epoch_;
+  });
 }
 
 double Nws::lastSampleAgeSec() const {
@@ -357,6 +360,7 @@ void Nws::sampleAll() {
     util_[lid].addMeasurement(measured);
   }
   ++samples_;
+  ++epoch_;
   lastSample_ = engine_->now();
   engine_->scheduleDaemon(period_, [this] { sampleAll(); });
 }

@@ -1,5 +1,6 @@
 #pragma once
 
+#include <cstdint>
 #include <deque>
 #include <map>
 #include <memory>
@@ -153,6 +154,13 @@ class Nws : public core::Snapshottable {
   double incumbentRate(grid::NodeId node) const;
 
   std::size_t samplesTaken() const { return samples_; }
+  /// Changes whenever the measurement series may have changed: once per
+  /// measuring sweep and on every snapshot load. Consumers that derive a
+  /// value from forecasts key their caches on it (with stale(), which
+  /// switches forecasts to last-known values as time passes). Not
+  /// samplesTaken(): a restore can bring back an equal count holding
+  /// different measurements.
+  std::uint64_t measurementEpoch() const { return epoch_; }
   const ForecasterBattery& cpuSeries(grid::NodeId node) const;
 
  private:
@@ -175,6 +183,8 @@ class Nws : public core::Snapshottable {
   std::map<grid::NodeId, ForecasterBattery> incumbent_;
   std::map<grid::LinkId, ForecasterBattery> bw_;
   std::map<grid::LinkId, ForecasterBattery> util_;
+  // grads: transient(cache key for consumers, bumped by every sweep and load - not a measurement)
+  std::uint64_t epoch_ = 0;
 };
 
 }  // namespace grads::services

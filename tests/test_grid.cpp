@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "grid/grid.hpp"
 #include "grid/load.hpp"
 #include "grid/testbeds.hpp"
@@ -214,6 +216,75 @@ TEST(Grid, MultiHopRouting) {
   const Route r = g.route(na, nc);
   EXPECT_EQ(r.links.size(), 4u);  // lanA, ab, bc, lanC
   EXPECT_GT(r.latencySec, 0.030);
+}
+
+/// Grows a four-cluster topology in stages: 0 is a chain a-b-c, 1 adds
+/// cluster d (and a node to a) hung off c, 2 adds a direct a-c link, one
+/// WAN hop shorter than a-b-c. Returns the WAN links added by `stage`.
+std::vector<LinkId> growTopology(Grid& g, int stage) {
+  const auto lan = [](const char* n) { return gigabitLan(n, 4); };
+  if (stage == 0) {
+    const auto a = g.addCluster(ClusterSpec{"a", "A", lan("a.lan")});
+    const auto b = g.addCluster(ClusterSpec{"b", "B", lan("b.lan")});
+    const auto c = g.addCluster(ClusterSpec{"c", "C", lan("c.lan")});
+    for (const ClusterId id : {a, b, c}) {
+      g.addNode(id, uiucQrNodeSpec(2 * static_cast<int>(id)));
+      g.addNode(id, uiucQrNodeSpec(2 * static_cast<int>(id) + 1));
+    }
+    return {g.connectClusters(a, b, internetWan("ab", 0.010, kMB)),
+            g.connectClusters(b, c, internetWan("bc", 0.020, kMB))};
+  }
+  const ClusterId a = *g.findCluster("a");
+  const ClusterId c = *g.findCluster("c");
+  if (stage == 1) {
+    const auto d = g.addCluster(ClusterSpec{"d", "D", lan("d.lan")});
+    g.addNode(d, uiucQrNodeSpec(6));
+    g.addNode(d, uiucQrNodeSpec(7));
+    g.addNode(a, uiucQrNodeSpec(8));
+    return {g.connectClusters(c, d, internetWan("cd", 0.005, kMB))};
+  }
+  return {g.connectClusters(a, c, internetWan("ac", 0.001, 2 * kMB))};
+}
+
+/// Every node pair's route on `g` equals the one a fresh grid grown to the
+/// same stage computes.
+void expectRoutesMatchFreshGrid(const Grid& g, int stage, const char* when) {
+  sim::Engine freshEng;
+  Grid fresh(freshEng);
+  for (int s = 0; s <= stage; ++s) growTopology(fresh, s);
+  ASSERT_EQ(fresh.nodeCount(), g.nodeCount()) << when;
+  for (NodeId src = 0; src < g.nodeCount(); ++src) {
+    for (NodeId dst = 0; dst < g.nodeCount(); ++dst) {
+      const Route got = g.route(src, dst);
+      const Route want = fresh.route(src, dst);
+      EXPECT_EQ(got.links, want.links)
+          << when << ": route " << src << "->" << dst;
+      EXPECT_EQ(got.latencySec, want.latencySec)
+          << when << ": route " << src << "->" << dst;
+    }
+  }
+}
+
+TEST(Grid, RouteMemoMatchesFreshGridAcrossTopologyChanges) {
+  sim::Engine eng;
+  Grid g(eng);
+  const std::vector<LinkId> chain = growTopology(g, 0);
+  expectRoutesMatchFreshGrid(g, 0, "chain");
+  growTopology(g, 1);
+  expectRoutesMatchFreshGrid(g, 1, "after a new cluster");
+  growTopology(g, 2);
+  expectRoutesMatchFreshGrid(g, 2, "after a shorter WAN path");
+  const NodeId a0 = *g.findNode(uiucQrNodeSpec(0).name);
+  const NodeId c0 = *g.findNode(uiucQrNodeSpec(4).name);
+  EXPECT_EQ(g.route(a0, c0).links.size(), 3u);  // lanA, ac, lanC
+
+  // Link state is not part of a route: a down link leaves every route as
+  // it was (routeUp and transfer report the partition instead).
+  g.link(chain[0]).setUp(false);
+  expectRoutesMatchFreshGrid(g, 2, "with ab down");
+  EXPECT_FALSE(g.routeUp(a0, *g.findNode(uiucQrNodeSpec(2).name)));
+  g.link(chain[0]).setUp(true);
+  expectRoutesMatchFreshGrid(g, 2, "with ab up again");
 }
 
 TEST(LoadTrace, WeightAtFollowsPhases) {

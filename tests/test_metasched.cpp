@@ -199,6 +199,83 @@ TEST(Admission, CapacitySkipsUnreachableNodes) {
   EXPECT_LT(c.capacityFlops(), full);
 }
 
+TEST(Admission, CachedCapacityEqualsFreshController) {
+  // One controller keeps its capacity memo across every kind of input
+  // change; at each checkpoint it must read exactly what a controller built
+  // at that moment over the same services computes from scratch.
+  AdmissionRig rig(6);
+  services::Nws nws(rig.eng, rig.g, 10.0, 0.03, 1234);
+  // Same grid and cadence, other noise seed: its image holds the same
+  // sample count and sample time as `nws` but other measurements.
+  services::Nws other(rig.eng, rig.g, 10.0, 0.03, 99);
+  const metasched::AdmissionOptions o;
+  const metasched::AdmissionController cached(rig.g, *rig.gis, &nws,
+                                              rig.slots, o);
+  double last = 0.0;
+  const auto checkpoint = [&](const std::string& when, bool changes) {
+    const metasched::AdmissionController fresh(rig.g, *rig.gis, &nws,
+                                               rig.slots, o);
+    const double now = cached.capacityFlops();
+    EXPECT_EQ(now, fresh.capacityFlops()) << when;
+    // Guards the checkpoint itself: an input change the memo could miss
+    // must actually move the capacity.
+    if (changes) {
+      EXPECT_NE(now, last) << when;
+    }
+    last = now;
+  };
+  checkpoint("static specs, before any sample", true);
+
+  nws.start();
+  other.start();
+  checkpoint("first sample", true);
+  for (int i = 1; i <= 4; ++i) {
+    rig.g.node(rig.slots[static_cast<std::size_t>(i)]).injectLoad(1.0 + i);
+    rig.eng.runUntil(10.0 * i + 5.0);
+    checkpoint("sample " + std::to_string(i + 1), true);
+  }
+
+  // A dark sensor changes nothing until the forecasts age past
+  // staleAfter; then the last-known values are served instead.
+  nws.setDark(true);
+  other.setDark(true);
+  checkpoint("dark, still fresh", false);
+  rig.eng.runUntil(60.0);
+  ASSERT_FALSE(nws.stale());
+  checkpoint("dark, not yet stale", false);
+  rig.eng.runUntil(80.0);
+  ASSERT_TRUE(nws.stale());
+  checkpoint("dark and stale", true);
+  nws.setDark(false);
+  other.setDark(false);
+  rig.eng.runUntil(95.0);
+  ASSERT_FALSE(nws.stale());
+  checkpoint("sampling again", true);
+
+  rig.gis->setNodeReachable(rig.slots[2], false);
+  checkpoint("slot 2 unreachable", true);
+  core::SnapshotIO gisImage = core::SnapshotIO::writer();
+  rig.gis->snapshotFields(gisImage);
+  rig.gis->setNodeReachable(rig.slots[2], true);
+  checkpoint("slot 2 reachable again", true);
+  core::SnapshotIO gisLoad = core::SnapshotIO::reader(gisImage.words());
+  rig.gis->snapshotFields(gisLoad);
+  checkpoint("after a GIS snapshot restore", true);
+
+  // A restore can bring back the same sample count and sample time with
+  // other measurements.
+  rig.eng.runUntil(125.0);
+  checkpoint("before restore", true);
+  ASSERT_EQ(other.samplesTaken(), nws.samplesTaken());
+  ASSERT_EQ(other.lastSampleAgeSec(), nws.lastSampleAgeSec());
+  core::SnapshotIO w = core::SnapshotIO::writer();
+  other.snapshotFields(w);
+  core::SnapshotIO r = core::SnapshotIO::reader(w.words());
+  nws.snapshotFields(r);
+  ASSERT_FALSE(nws.stale());
+  checkpoint("after an NWS snapshot restore", true);
+}
+
 // ---------------------------------------------------------------------------
 // Whole-frontend scenarios over a real control plane.
 // ---------------------------------------------------------------------------
